@@ -28,7 +28,7 @@
 // network and env time. Spans go to --trace-out for trace_reduce.py.
 //
 // Usage: hfq_perfbench --workload adhoc|serve|eval [--seed N] [--seconds S]
-//                      [--trace 0|1] [--trace-out PATH] [--setups N]
+//                      [--trace 0|1] [--trace-out PATH]
 // The last stdout line is "RESULT <json>"; run.py turns it into the
 // benchmark's result line.
 #include <malloc.h>
@@ -89,7 +89,10 @@ constexpr int kMaxRelations = 10;
 constexpr int kTrainEpisodes = 48;
 constexpr int kTrainPretrainSteps = 300;
 constexpr int kRefineQueries = 4;
-/// The driver's own executor cap (the library default is 5M tuples).
+/// Setups per run; setup_s is their median.
+constexpr int kSetups = 3;
+/// The driver's own executor cap (the library default is 5M tuples). An
+/// adhoc op whose learned plan exceeds it fails with ResourceExhausted.
 constexpr int64_t kExecCapTuples = 100 * 1000;
 
 constexpr int kAdhocPerSize = 34;  // x relation counts 3..8 = 204 queries
@@ -175,7 +178,13 @@ double Percentile(std::vector<double> values, double p) {
   return values[rank - 1];
 }
 
-double Median(std::vector<double> values) { return Percentile(values, 0.5); }
+double Median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                 : (values[mid - 1] + values[mid]) / 2.0;
+}
 
 double PeakRssMb() {
   struct rusage usage;
@@ -273,8 +282,7 @@ struct PoolQuery {
   std::string sql;
   Query query;  ///< Parsed once from `sql`.
   double ref_cost = 0.0;
-  PlanNodePtr ref_plan;  ///< adhoc: the traditional plan, also the fallback.
-  ExecResult ref_result;
+  ExecResult ref_result;  ///< adhoc: the traditional plan's run.
 };
 
 struct World {
@@ -300,7 +308,6 @@ struct Options {
   double seconds = 10.0;
   bool trace = false;
   std::string trace_out;
-  int setups = 2;
 };
 
 /// Teacher refinement (in setup and in every serve update) runs on a fixed
@@ -379,7 +386,8 @@ class Driver {
     /// Pool index -> learned plan cost / reference cost of the plan it was
     /// last served, so every distinct query weighs the same.
     std::map<size_t, double> cost_ratio;
-    int64_t cap_trips = 0;  ///< adhoc: learned plans over the executor cap.
+    /// adhoc: failed ops whose learned plan tripped the executor cap.
+    int64_t cap_trips = 0;
     Digest digest;
 
     /// Counts a failed op; the first few are explained on stderr.
@@ -536,7 +544,6 @@ void Driver::BuildAdhocPool(World* world) {
       if (!result.ok() || SumNodeRows(*result) > kAdhocMaxReferenceRows) {
         continue;
       }
-      entry.ref_plan = std::move(plan);
       entry.ref_result = std::move(*result);
       entry.ref_result.agg_rows = SortedRows(entry.ref_result.agg_rows);
       entry.ref_result.node_output_rows.clear();
@@ -696,17 +703,6 @@ void Driver::RunAdhoc(World* world, StreamStats* stats) {
         ScopedSpan span(&tracer_, "exec.execute", op);
         result = world->executor->Execute(*query, *response->plan);
       }
-      // A learned plan that trips the executor cap is answered by running
-      // the traditional plan the client prepared for the query, as a client
-      // of a learned optimizer with a safety net would; the trip is counted
-      // and its time stays in the op.
-      const bool cap_trip =
-          !result.ok() &&
-          result.status().code() == hfq::StatusCode::kResourceExhausted;
-      if (cap_trip) {
-        ScopedSpan span(&tracer_, "exec.fallback", op);
-        result = world->executor->Execute(*query, *entry.ref_plan);
-      }
       tracer_.End(op_span);
       const double ms = watch.ElapsedMillis();
       stats->wall_ms += ms;
@@ -725,11 +721,6 @@ void Driver::RunAdhoc(World* world, StreamStats* stats) {
       stats->cost_ratio[index] = response->cost / entry.ref_cost;
       tracer_.Value("search.planning_ms", op, response->planning_ms);
       bool ok = true;
-      if (cap_trip) {
-        ++stats->cap_trips;
-        stats->digest.Add(std::string("cap"));
-        tracer_.Value("exec.cap_trip", op, 1.0);
-      }
       if (result.ok()) {
         stats->digest.Add(result->output_rows);
         stats->digest.Add(result->join_rows);
@@ -740,6 +731,12 @@ void Driver::RunAdhoc(World* world, StreamStats* stats) {
           ok = false;
         }
       } else {
+        // A learned plan over the cap fails the op (ResourceExhausted).
+        if (result.status().code() == hfq::StatusCode::kResourceExhausted) {
+          ++stats->cap_trips;
+          stats->digest.Add(std::string("cap"));
+          tracer_.Value("exec.cap_trip", op, 1.0);
+        }
         stats->Fail(name + ": " + result.status().ToString());
         ok = false;
       }
@@ -758,7 +755,9 @@ void Driver::RunServe(World* world, StreamStats* stats) {
       1, static_cast<int>(std::round(kServeCyclesPerSecond * options_.seconds)));
   // The traffic: Zipf(s=1) over a seeded permutation of the shapes (so
   // popularity does not follow generation order), and half the requests
-  // with a tiny budget (greedy tier), half with none (beam-4 tier).
+  // with a tiny budget (greedy tier), half with none (beam-4 tier). The
+  // even split is not taken from measured traffic (see README.md); it gives
+  // every run cold plans of both tiers.
   Rng rng(SubSeed(options_.seed, 12));
   std::vector<size_t> rank_to_shape(world->pool.size());
   for (size_t i = 0; i < rank_to_shape.size(); ++i) rank_to_shape[i] = i;
@@ -930,12 +929,12 @@ int Driver::Run() {
                                                      : 99;
   const double tail = tail_pct / 100.0;
 
-  // The untraced stream: set up `setups` times (the median is setup_s),
+  // The untraced stream: set up kSetups times (the median is setup_s),
   // then replay the stream on the last setup. A traced run does the same
   // for its untraced baseline, so both streams run on a reused heap.
   std::vector<double> setup_s;
   std::unique_ptr<World> world;
-  for (int i = 0; i < options_.setups; ++i) {
+  for (int i = 0; i < kSetups; ++i) {
     world.reset();
     Stopwatch watch;
     world = Setup();
@@ -1004,7 +1003,7 @@ int Driver::Run() {
               cost_ratio, stats.cost_ratio.size());
   if (options_.workload == "adhoc") {
     std::printf("  exec cap trips   %10" PRId64
-                "       (answered with the traditional plan)\n",
+                "       (failed ops: learned plan over the executor cap)\n",
                 stats.cap_trips);
   }
   std::printf("digest %s\n", stats.digest.Hex().c_str());
@@ -1012,10 +1011,15 @@ int Driver::Run() {
     std::printf("traced digest %s\n", traced.digest.Hex().c_str());
   }
 
+  // Failed ops, and among them the ones that are wrong: a wrong answer or
+  // an error other than the executor's cap (an op over the cap fails, but
+  // the program answered it as designed).
   const int64_t failed = stats.failed + traced.failed;
+  const int64_t wrong = failed - stats.cap_trips - traced.cap_trips;
   std::string json =
       "{\"attempted\":" + std::to_string(stats.attempted + traced.attempted);
   json += ",\"failed\":" + std::to_string(failed);
+  json += ",\"wrong\":" + std::to_string(wrong);
   json += ",\"metrics\":{";
   json += "\"setup_s\":" + Json(Median(setup_s));
   json += ",\"ops_per_s\":" + Json(ops_per_s);
@@ -1044,15 +1048,13 @@ bool ParseArgs(int argc, char** argv, Options* options) {
       options->trace = value == "1";
     } else if (arg == "--trace-out") {
       options->trace_out = value;
-    } else if (arg == "--setups") {
-      options->setups = std::atoi(value.c_str());
     } else {
       return false;
     }
   }
   return (options->workload == "adhoc" || options->workload == "serve" ||
           options->workload == "eval") &&
-         options->seconds > 0.0 && options->setups >= 1 &&
+         options->seconds > 0.0 &&
          (!options->trace || !options->trace_out.empty());
 }
 
@@ -1064,8 +1066,7 @@ int main(int argc, char** argv) {
   if (!perfbench::ParseArgs(argc, argv, &options)) {
     std::fprintf(stderr,
                  "usage: hfq_perfbench --workload adhoc|serve|eval "
-                 "[--seed N] [--seconds S] [--trace 0|1 --trace-out PATH] "
-                 "[--setups N]\n");
+                 "[--seed N] [--seconds S] [--trace 0|1 --trace-out PATH]\n");
     return 2;
   }
   return perfbench::Driver(options).Run();

@@ -3,7 +3,7 @@
 and prints the result as the last line of stdout.
 
     python3 perfbench/run.py --workload adhoc|serve|eval [--seed N]
-                             [--seconds S] [--trace 0|1] [--setups N]
+                             [--seconds S] [--trace 0|1]
 
 Run it from the root of a checkout. The first run builds the repository's
 libraries and the driver into .bench_build/perfbench (about a minute on four
@@ -16,6 +16,10 @@ reports the per-layer metrics.
 
 The last line is one JSON object:
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
+"failed" counts every op that did not succeed. "correct" is false if any of
+them returned a wrong answer or an error other than the executor's cap (an
+adhoc op whose learned plan trips the cap fails, but is answered as
+designed), or if the traced run's self-time check fails.
 """
 
 import argparse
@@ -36,8 +40,6 @@ WORKLOADS = ("adhoc", "serve", "eval")
 # back for checking a claimed gain (see README.md).
 DEFAULT_SEED = 1
 CHECK_SEED = 7919
-# Setups per untraced run; setup_s is their median.
-SETUPS = 2
 # The driver's own time limit, build excluded (a run must end within 180 s).
 DEADLINE_S = 170.0
 
@@ -88,19 +90,16 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, default=0, choices=(0, 1))
-    parser.add_argument("--setups", type=int, default=SETUPS,
-                        help="setups per untraced run (setup_s is their "
-                        "median); fewer only for quick checks")
     args = parser.parse_args()
-    if args.seconds <= 0 or args.setups < 1:
-        fail("--seconds and --setups must be positive")
+    if args.seconds <= 0:
+        fail("--seconds must be positive")
 
     binary = build()
     trace_path = os.path.join(
         ROOT, ".bench_build", "perfbench",
         "trace-%s-%d.tsv" % (args.workload, args.seed))
     command = [binary, "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", repr(args.seconds), "--setups", str(args.setups)]
+               "--seconds", repr(args.seconds)]
     if args.trace:
         command += ["--trace", "1", "--trace-out", trace_path]
     try:
@@ -126,11 +125,13 @@ def main():
         metrics = {name: {"value": value, "unit": unit}
                    for name, (value, unit) in layers.json_metrics().items()}
         failed = result["failed"] + layers.failed
+        wrong = result["wrong"] + layers.failed
     else:
         metrics = {name: {"value": result["metrics"][name], "unit": unit}
                    for name, unit in END_TO_END_UNITS.items()}
         failed = result["failed"]
-    print(json.dumps({"correct": failed == 0,
+        wrong = result["wrong"]
+    print(json.dumps({"correct": wrong == 0,
                       "attempted": result["attempted"],
                       "failed": failed,
                       "metrics": metrics}))

@@ -11,8 +11,10 @@ duration minus the time its children cover. Setup spans have op -1.
 
 Prints every per-layer metric of README.md's table, the tracing overhead
 (traced minus untraced stream wall time), and the self-time check: for each
-op, its spans' self times sum to the op's wall time as the driver measured
-it, within the measured tracing overhead.
+op, the self times of every span that carries its op id (the replay, which
+runs outside the op, excluded) sum to the op's wall time as the driver
+measured it, within the measured tracing overhead (up to 1% of ops may miss
+that), and no span has a negative self time.
 """
 
 import collections
@@ -91,7 +93,6 @@ def load(path):
 LAYER_OF = {
     "sql.parse": "sql",
     "exec.execute": "exec",
-    "exec.fallback": "exec",
     "core.evaluate": "core",
     "rl.refine": "rl",
     "serve.update": "serve",
@@ -266,16 +267,32 @@ def reduce_file(path, workload):
                                                                  untraced),
                json_metric=True)
     layers.add("trace.overhead_ms_per_op", overhead_ms, "ms")
+    # Every span that carries an op's id (the replay, which runs outside the
+    # op, excluded) must lie in the op's tree, so that their self times sum
+    # to the op span's duration, and no span may have a negative self time
+    # (1 us covers the dump's rounding). The sum must also match the wall
+    # time the driver measured around the op span, within the tracing
+    # overhead; a preemption between the two clock reads breaks that for a
+    # few ops, so up to 1% of ops may miss it.
+    self_sum_us = collections.Counter()
+    for span in spans:
+        if span.op >= 0 and span.name != "replay.search":
+            self_sum_us[span.op] += span.self_us
+    outside = sum(1 for s in ops
+                  if abs(self_sum_us[s.op] - s.duration_us) > 1.0)
+    negative = sum(1 for s in spans if s.self_us < -1.0)
     wall_by_op = dict(values.get("op.wall_ms", ()))
-    gaps = [wall_by_op[s.op] - (s.self_us + s.children_us) / 1e3
+    gaps = [wall_by_op[s.op] - self_sum_us[s.op] / 1e3
             for s in ops if s.op in wall_by_op]
     tolerance = max(overhead_ms, 0.0) + 0.005
-    violations = sum(1 for gap in gaps if abs(gap) > tolerance)
+    late = sum(1 for gap in gaps if abs(gap) > tolerance)
     layers.add("trace.self_sum_gap_ms", max((abs(g) for g in gaps),
                                             default=0.0), "ms",
-               "max over %d ops; tolerance %.4f ms, %d above" % (
-                   len(gaps), tolerance, violations))
-    layers.failed = 0 if violations <= len(gaps) // 100 else violations
+               "max over %d ops; tolerance %.4f ms, %d above (1%% allowed); "
+               "%d ops with spans outside, %d negative self times" % (
+                   len(gaps), tolerance, late, outside, negative))
+    layers.failed = outside + negative + (late if late > len(gaps) // 100
+                                          else 0)
     return layers
 
 
