@@ -2,7 +2,8 @@
 // topologies x relation counts x data-skew profiles x predicate mixes,
 // compares the learned optimizer against exhaustive DP and GEQO on every
 // cell, prints a regret table, and writes the machine-readable JSON report
-// (schema hfq-eval-v1) that seeds the BENCH_*.json trajectory.
+// (one schema, see src/eval/report.h) that seeds the BENCH_*.json
+// trajectory.
 //
 // Usage:
 //   example_hfq_eval [--out=PATH] [--seed=N] [--workers=N] [--queries=N]
@@ -21,8 +22,7 @@
 // eval-smoke job use it); --no-timings drops wall-clock fields so the
 // report bytes are deterministic per seed. --search sweeps the learned
 // planner over plan-search modes ("greedy", "best-of-<K>", "beam-<W>",
-// "best-first-<W>"); a single "greedy" reproduces the pre-search v1
-// report byte-for-byte. --topologies restricts the topology axis (names
+// "best-first-<W>"). --topologies restricts the topology axis (names
 // per JoinTopologyName). --teacher sets the search-as-teacher refinement
 // iterations run after training (default 4; 0 reproduces the pre-teacher
 // training path) and --teacher-mode the plan search the teacher uses
@@ -30,11 +30,12 @@
 // the median of N timed plans after one unmeasured warmup (default 1, the
 // historic single cold measurement); plans and costs are identical at any
 // repeat count. --dp-max-relations caps the exhaustive-DP baseline: cells
-// above it are scored against GEQO instead (report schema hfq-eval-v3).
+// above it are scored against GEQO instead (no "dp" section in the
+// report).
 // --band-topologies/--band-relations configure the DP-infeasible
 // large-join band appended after the regular matrix (default
 // chain,snowflake,clique x 16); --no-band drops it, restoring the
-// pre-band matrix and report bytes. --measured-exec additionally RUNS
+// pre-band matrix. --measured-exec additionally RUNS
 // every learned and baseline plan through the vectorized executor and
 // reports measured-latency regret next to the simulated one (plans that
 // trip the intermediate-tuple cap are skipped, not failed); measured
@@ -439,15 +440,22 @@ int main(int argc, char** argv) {
   if (config.measured_exec) {
     // The measured counterpart, side by side with the simulated regret
     // above: plans actually executed through the vectorized executor.
+    // The DP and GEQO sections split the executed rows by baseline tier.
     const hfq::PlannerStats& learned = report->agg_learned;
+    const hfq::PlannerStats& dp = report->agg_dp;
+    const hfq::PlannerStats& geqo = report->agg_geqo;
+    const int baseline_n = dp.num_exec + geqo.num_exec;
+    const double baseline_ms =
+        baseline_n == 0 ? 0.0
+                        : (dp.mean_exec_ms * dp.num_exec +
+                           geqo.mean_exec_ms * geqo.num_exec) /
+                              baseline_n;
     std::printf("  measured exec (%d/%d queries ran): learned mean %.3f ms, "
                 "baseline mean %.3f ms | measured-latency regret mean %.4f "
                 "p95 %.4f (simulated: mean %.4f)\n",
                 learned.num_exec, learned.num_queries, learned.mean_exec_ms,
-                report->agg_dp.num_exec > 0 ? report->agg_dp.mean_exec_ms
-                                            : report->agg_geqo.mean_exec_ms,
-                learned.exec_regret.mean, learned.exec_regret.p95,
-                learned.latency_regret.mean);
+                baseline_ms, learned.exec_regret.mean,
+                learned.exec_regret.p95, learned.latency_regret.mean);
   }
   if (config.include_timings) {
     std::printf("  train %.0f ms, total %.0f ms\n", report->train_ms,

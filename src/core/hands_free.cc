@@ -249,25 +249,10 @@ Status HandsFreeOptimizer::CheckWorkloadCapacity(
 }
 
 Result<PlanNodePtr> HandsFreeOptimizer::Optimize(const Query& query,
-                                                 double* planning_ms_out) {
-  return OptimizeWithSearch(query, config_.search, planning_ms_out);
-}
-
-Result<PlanNodePtr> HandsFreeOptimizer::OptimizeWithSearch(
-    const Query& query, const SearchConfig& search, double* planning_ms_out) {
+                                             double* planning_ms_out) {
   HFQ_RETURN_IF_ERROR(CheckReadyToPlan(query));
-  // The single-query entry point may fan multi-rollout searches out over
-  // the facade pool; the workload-wide entry points keep per-query search
-  // serial because whole queries are already spread across the workers.
-  ThreadPool* pool = nullptr;
-  if (config_.num_rollout_workers > 1 && search.mode == SearchMode::kBestOfK) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(config_.num_rollout_workers);
-    }
-    pool = pool_.get();
-  }
-  return PlanOnEnv(env_.get(), query, &plan_ws_, search, planning_ms_out,
-                   pool, &plan_scratch_);
+  return PlanOnEnv(env_.get(), query, &plan_ws_, config_.search,
+                   planning_ms_out, &plan_scratch_);
 }
 
 Status HandsFreeOptimizer::SaveModel(const std::string& path) {
@@ -342,77 +327,14 @@ Result<HandsFreeOptimizer::Comparison> HandsFreeOptimizer::Compare(
 
 Result<PlanNodePtr> HandsFreeOptimizer::PlanOnEnv(
     FullPipelineEnv* env, const Query& query, MlpWorkspace* ws,
-    const SearchConfig& search, double* planning_ms_out, ThreadPool* pool,
+    const SearchConfig& search, double* planning_ms_out,
     SearchScratch* scratch) {
   env->SetQuery(&query);
   SearchContext ctx{frozen_policy_.get(), /*rng=*/nullptr, ws, scratch};
   std::unique_ptr<PlanSearch> searcher = MakePlanSearch(search);
-  HFQ_ASSIGN_OR_RETURN(SearchResult result, searcher->Search(env, ctx, pool));
+  HFQ_ASSIGN_OR_RETURN(SearchResult result, searcher->Search(env, ctx));
   if (planning_ms_out != nullptr) *planning_ms_out = result.planning_ms;
   return env->FinalPlan()->Clone();
-}
-
-Result<std::vector<PlanNodePtr>> HandsFreeOptimizer::OptimizeWorkload(
-    const std::vector<Query>& workload) {
-  if (!trained_) {
-    return Status::FailedPrecondition("Train() before OptimizeWorkload()");
-  }
-  HFQ_RETURN_IF_ERROR(CheckWorkloadCapacity(workload));
-  const int num_workers = std::max(1, config_.num_rollout_workers);
-  std::vector<FullPipelineEnv*> envs = PrepareWorkerEnvs(num_workers);
-
-  const size_t n = workload.size();
-  std::vector<PlanNodePtr> plans(n);
-  std::vector<Status> errors(n, Status::OK());
-  RunOnWorkers(pool_.get(), num_workers, [&](int w) {
-    MlpWorkspace ws;
-    SearchScratch scratch;
-    for (size_t i = static_cast<size_t>(w); i < n;
-         i += static_cast<size_t>(num_workers)) {
-      auto plan =
-          PlanOnEnv(envs[static_cast<size_t>(w)], workload[i], &ws,
-                    config_.search, nullptr, nullptr, &scratch);
-      if (plan.ok()) {
-        plans[i] = std::move(*plan);
-      } else {
-        errors[i] = plan.status();
-      }
-    }
-  });
-  for (const Status& status : errors) {
-    HFQ_RETURN_IF_ERROR(status);
-  }
-  return plans;
-}
-
-Result<std::vector<HandsFreeOptimizer::Comparison>>
-HandsFreeOptimizer::CompareWorkload(const std::vector<Query>& workload) {
-  HFQ_ASSIGN_OR_RETURN(std::vector<PlanNodePtr> plans,
-                       OptimizeWorkload(workload));
-  const int num_workers = std::max(1, config_.num_rollout_workers);
-  const size_t n = workload.size();
-  std::vector<Comparison> results(n);
-  std::vector<Status> errors(n, Status::OK());
-  RunOnWorkers(pool_.get(), num_workers, [&](int w) {
-    for (size_t i = static_cast<size_t>(w); i < n;
-         i += static_cast<size_t>(num_workers)) {
-      Comparison& cmp = results[i];
-      cmp.learned_cost = plans[i]->est_cost;
-      cmp.learned_latency_ms =
-          engine_->latency().SimulateMs(workload[i], *plans[i]);
-      auto expert = engine_->RunExpert(workload[i]);
-      if (!expert.ok()) {
-        errors[i] = expert.status();
-        continue;
-      }
-      cmp.expert_cost = expert->cost;
-      cmp.expert_latency_ms = expert->latency_ms;
-    }
-  });
-  for (const Status& status : errors) {
-    HFQ_RETURN_IF_ERROR(status);
-  }
-  return results;
 }
 
 std::unique_ptr<FullPipelineEnv> HandsFreeOptimizer::MakeWorkerEnv() const {
@@ -420,27 +342,6 @@ std::unique_ptr<FullPipelineEnv> HandsFreeOptimizer::MakeWorkerEnv() const {
       env_->featurizer(), env_->expert(), env_->reward(), env_->config());
   env->set_stages(env_->stages());
   return env;
-}
-
-std::vector<FullPipelineEnv*> HandsFreeOptimizer::PrepareWorkerEnvs(
-    int num_workers) {
-  while (static_cast<int>(worker_envs_.size()) < num_workers - 1) {
-    worker_envs_.push_back(MakeWorkerEnv());
-  }
-  std::vector<FullPipelineEnv*> envs = {env_.get()};
-  for (auto& worker_env : worker_envs_) {
-    worker_env->set_stages(env_->stages());
-    envs.push_back(worker_env.get());
-  }
-  if (num_workers > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_workers);
-  }
-  return envs;
-}
-
-Result<HandsFreeOptimizer::QueryEvaluation> HandsFreeOptimizer::EvaluateOnEnv(
-    FullPipelineEnv* env, const Query& query, MlpWorkspace* ws) {
-  return EvaluateOnEnv(env, query, ws, config_.search);
 }
 
 Result<HandsFreeOptimizer::LearnedEvaluation>
@@ -461,7 +362,7 @@ HandsFreeOptimizer::EvaluateLearnedOnEnv(FullPipelineEnv* env,
   // (model, query, search), so repeats change timing only.
   if (plan_repeats > 1) {
     HFQ_RETURN_IF_ERROR(
-        PlanOnEnv(env, query, ws, search, nullptr, nullptr, scratch)
+        PlanOnEnv(env, query, ws, search, nullptr, scratch)
             .status());
   }
   const int repeats = std::max(1, plan_repeats);
@@ -471,7 +372,7 @@ HandsFreeOptimizer::EvaluateLearnedOnEnv(FullPipelineEnv* env,
   for (int r = 0; r < repeats; ++r) {
     Stopwatch watch;
     HFQ_ASSIGN_OR_RETURN(
-        learned, PlanOnEnv(env, query, ws, search, nullptr, nullptr, scratch));
+        learned, PlanOnEnv(env, query, ws, search, nullptr, scratch));
     times.push_back(watch.ElapsedMillis());
   }
   std::sort(times.begin(), times.end());
@@ -556,38 +457,6 @@ Result<HandsFreeOptimizer::QueryEvaluation> HandsFreeOptimizer::EvaluateOnEnv(
     }
   }
   return eval;
-}
-
-Result<std::vector<HandsFreeOptimizer::QueryEvaluation>>
-HandsFreeOptimizer::EvaluateWorkload(const std::vector<Query>& workload) {
-  if (!trained_) {
-    return Status::FailedPrecondition("Train() before EvaluateWorkload()");
-  }
-  HFQ_RETURN_IF_ERROR(CheckWorkloadCapacity(workload));
-  const int num_workers = std::max(1, config_.num_rollout_workers);
-  std::vector<FullPipelineEnv*> envs = PrepareWorkerEnvs(num_workers);
-
-  const size_t n = workload.size();
-  std::vector<QueryEvaluation> results(n);
-  std::vector<Status> errors(n, Status::OK());
-  RunOnWorkers(pool_.get(), num_workers, [&](int w) {
-    MlpWorkspace ws;
-    SearchScratch scratch;
-    for (size_t i = static_cast<size_t>(w); i < n;
-         i += static_cast<size_t>(num_workers)) {
-      auto eval = EvaluateOnEnv(envs[static_cast<size_t>(w)], workload[i], &ws,
-                                config_.search, /*plan_repeats=*/1, &scratch);
-      if (eval.ok()) {
-        results[i] = *eval;
-      } else {
-        errors[i] = eval.status();
-      }
-    }
-  });
-  for (const Status& status : errors) {
-    HFQ_RETURN_IF_ERROR(status);
-  }
-  return results;
 }
 
 }  // namespace hfq

@@ -17,7 +17,6 @@
 #include "rl/search_context.h"
 #include "rl/teacher_loop.h"
 #include "search/plan_search.h"
-#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace hfq {
@@ -45,17 +44,16 @@ struct HandsFreeConfig {
   int training_episodes = 2000;
   uint64_t seed = 7;
   /// Parallelism knob, copied into the strategy backends at construction:
-  /// rollout collection during Train and the workload-wide
-  /// Optimize/Compare entry points run on this many workers. 1 = serial;
-  /// N > 1 is deterministic for a fixed (seed, N), and 1 matches the
-  /// serial trajectories bit-for-bit.
+  /// rollout collection during Train runs on this many workers. Planning
+  /// is serial per query. 1 = serial; N > 1 is deterministic for a fixed
+  /// (seed, N), and 1 matches the serial trajectories bit-for-bit.
   int num_rollout_workers = 1;
   /// How the trained policy is used at plan time (src/search): greedy
   /// single-rollout inference (default — the paper's case study),
   /// best-of-K sampled rollouts keeping the cheapest by cost model, or
-  /// value-guided beam search over plan prefixes. Every Optimize /
-  /// *Workload / Evaluate* entry point routes through this config; the
-  /// default is bit-for-bit the historic greedy path.
+  /// value-guided beam search over plan prefixes. Optimize and Compare
+  /// route through this config; the default is bit-for-bit the historic
+  /// greedy path.
   SearchConfig search;
   /// Search-as-teacher refinement (rl/teacher_loop.h) run automatically at
   /// the end of Train() when teacher.iterations > 0 (default off): the
@@ -94,19 +92,13 @@ class HandsFreeOptimizer {
   Status RefineWithTeacher(const std::vector<Query>& workload,
                            const TeacherConfig& teacher);
 
-  /// Optimizes a query with the learned policy through the configured
-  /// plan search. `planning_ms_out` (optional) receives the search's
-  /// planning-time charge: pure inference time for greedy (the historic
-  /// Figure 3c metric), the full search wall clock — every rollout and
-  /// expansion — for best-of-K and beam.
+  /// Optimizes a query with the learned policy through config.search.
+  /// `planning_ms_out` (optional) receives the search's planning-time
+  /// charge: pure inference time for greedy (the historic Figure 3c
+  /// metric), the full search wall clock — every rollout and expansion —
+  /// for best-of-K and beam.
   Result<PlanNodePtr> Optimize(const Query& query,
                                double* planning_ms_out = nullptr);
-
-  /// Optimize under an explicit search config (ignoring config.search);
-  /// used by the evaluation harness's per-mode sweeps.
-  Result<PlanNodePtr> OptimizeWithSearch(const Query& query,
-                                         const SearchConfig& search,
-                                         double* planning_ms_out = nullptr);
 
   /// Simulated latency of the learned plan vs the expert plan for a query
   /// (positive ratio < 1 means the learned optimizer wins).
@@ -117,20 +109,6 @@ class HandsFreeOptimizer {
     double expert_cost = 0.0;
   };
   Result<Comparison> Compare(const Query& query);
-
-  /// Optimizes every workload query with the learned policy, fanning the
-  /// inference episodes out over config.num_rollout_workers workers
-  /// (per-worker env clones, thread-safe frozen-policy inference). Plans
-  /// are returned in workload order and are identical to per-query
-  /// Optimize calls.
-  Result<std::vector<PlanNodePtr>> OptimizeWorkload(
-      const std::vector<Query>& workload);
-
-  /// Compare for a whole workload, parallelized the same way (the expert
-  /// side runs concurrently too — the substrate memos are internally
-  /// synchronized). Results are in workload order.
-  Result<std::vector<Comparison>> CompareWorkload(
-      const std::vector<Query>& workload);
 
   /// One query through all three planners the evaluation harness compares:
   /// the learned policy, exhaustive System-R DP (the regret baseline,
@@ -157,48 +135,34 @@ class HandsFreeOptimizer {
     /// PostgreSQL's geqo_threshold tiering.
     double baseline_cost = 0.0;
     double baseline_latency_ms = 0.0;
-    /// Measured execution (EvaluateOnEnv's measured_exec / EvalConfig::
-    /// measured_exec): wall-clock of actually running the learned and
-    /// baseline plans through the vectorized executor, next to the
-    /// simulated latencies above. False when measurement was off or a
-    /// plan blew the intermediate-tuple cap (ResourceExhausted) — the
-    /// exec_ms fields are then zero and must not be read.
+    /// Measured execution (EvaluateOnEnv's measured_exec): wall-clock of
+    /// actually running the learned and baseline plans through the
+    /// vectorized executor, next to the simulated latencies above. False
+    /// when measurement was off or a plan blew the intermediate-tuple cap
+    /// (ResourceExhausted) — the exec_ms fields are then zero and must not
+    /// be read.
     bool exec_ran = false;
     double learned_exec_ms = 0.0;
     double baseline_exec_ms = 0.0;
   };
 
-  /// Evaluates every workload query against the learned policy and both
-  /// traditional baselines, fanning out over config.num_rollout_workers.
-  /// Results are in workload order and identical for any worker count.
-  /// Note the DP baseline enumerates exhaustively regardless of
-  /// geqo_threshold; a join graph whose subproblem count exceeds the
-  /// enumeration budget (OptimizerOptions::dp_max_subproblems) makes the
-  /// dp_* columns fall back to genetic search inside Optimize. Callers
-  /// that need an explicit tiering decision (the eval harness) skip DP by
-  /// relation count instead via EvaluateOnEnv's with_dp.
-  Result<std::vector<QueryEvaluation>> EvaluateWorkload(
-      const std::vector<Query>& workload);
-
-  /// Thread-safe core of EvaluateWorkload: evaluates one query using a
-  /// caller-owned env clone (see MakeWorkerEnv) and MLP workspace. Any
-  /// number of threads may call this concurrently with distinct envs and
-  /// workspaces while no training is running. Used by the scenario-matrix
-  /// harness (src/eval) to parallelize whole cells rather than queries.
-  Result<QueryEvaluation> EvaluateOnEnv(FullPipelineEnv* env,
-                                        const Query& query,
-                                        MlpWorkspace* ws);
-
-  /// EvaluateOnEnv under an explicit search config for the learned
-  /// planner (DP/GEQO baselines are search-independent). `plan_repeats`
-  /// controls the planning-time measurement: 1 (default) is the historic
-  /// single cold measurement; R > 1 runs one unmeasured warmup then R
-  /// timed plans and reports the median — the plan itself is identical
-  /// every repeat (deterministic search), only the timing changes.
-  /// `scratch` (optional) is caller-owned reusable search memory.
+  /// Evaluates one query with the learned planner under `search` and
+  /// with both traditional baselines (DP/GEQO are search-independent),
+  /// using a caller-owned env clone (see MakeWorkerEnv), MLP workspace and
+  /// search scratch (`scratch` may be null). Any number of threads may
+  /// call this concurrently with distinct envs, workspaces and scratch
+  /// while no training is running; the scenario-matrix harness (src/eval)
+  /// spreads whole cells over its workers this way.
+  /// `plan_repeats` controls the planning-time measurement: 1 is a single
+  /// cold measurement; R > 1 runs one unmeasured warmup then R timed
+  /// plans and reports the median — the plan itself is identical every
+  /// repeat (deterministic search), only the timing changes.
   /// `with_dp` = false skips the exhaustive-DP baseline (for queries where
   /// it is infeasible): the row's dp_ran flips off and the baseline_*
-  /// fields fall back from DP to GEQO.
+  /// fields fall back from DP to GEQO. With DP on, a join graph whose
+  /// subproblem count exceeds the enumeration budget
+  /// (OptimizerOptions::dp_max_subproblems) makes the dp_* columns fall
+  /// back to genetic search inside TraditionalOptimizer::Optimize.
   /// `measured_exec` = true additionally executes the learned and baseline
   /// plans against the engine's database (vectorized executor) and records
   /// wall-clock execution times; a plan that exceeds the executor's
@@ -207,10 +171,9 @@ class HandsFreeOptimizer {
   Result<QueryEvaluation> EvaluateOnEnv(FullPipelineEnv* env,
                                         const Query& query, MlpWorkspace* ws,
                                         const SearchConfig& search,
-                                        int plan_repeats = 1,
-                                        SearchScratch* scratch = nullptr,
-                                        bool with_dp = true,
-                                        bool measured_exec = false);
+                                        int plan_repeats,
+                                        SearchScratch* scratch, bool with_dp,
+                                        bool measured_exec);
 
   /// The learned planner's side of EvaluateOnEnv only — what the
   /// scenario-matrix harness calls per extra search mode, so the DP/GEQO
@@ -223,15 +186,10 @@ class HandsFreeOptimizer {
   };
   /// `plan_out` (optional) receives the learned plan itself — the
   /// measured-execution path needs the plan, not just its metrics.
-  Result<LearnedEvaluation> EvaluateLearnedOnEnv(FullPipelineEnv* env,
-                                                 const Query& query,
-                                                 MlpWorkspace* ws,
-                                                 const SearchConfig& search,
-                                                 int plan_repeats = 1,
-                                                 SearchScratch* scratch =
-                                                     nullptr,
-                                                 PlanNodePtr* plan_out =
-                                                     nullptr);
+  Result<LearnedEvaluation> EvaluateLearnedOnEnv(
+      FullPipelineEnv* env, const Query& query, MlpWorkspace* ws,
+      const SearchConfig& search, int plan_repeats, SearchScratch* scratch,
+      PlanNodePtr* plan_out = nullptr);
 
   /// A fresh env clone wired to this optimizer's collaborators, carrying
   /// the primary env's current stage set. One per worker thread.
@@ -287,13 +245,11 @@ class HandsFreeOptimizer {
 
  private:
   /// Runs `search` for `query` on `env` (thread-safe with distinct
-  /// env/ws) and returns the finished plan. `planning_ms_out` optional;
-  /// `pool` optionally fans out multi-rollout searches.
+  /// env/ws) and returns the finished plan. `planning_ms_out` optional.
   Result<PlanNodePtr> PlanOnEnv(FullPipelineEnv* env, const Query& query,
                                 MlpWorkspace* ws, const SearchConfig& search,
-                                double* planning_ms_out = nullptr,
-                                ThreadPool* pool = nullptr,
-                                SearchScratch* scratch = nullptr);
+                                double* planning_ms_out,
+                                SearchScratch* scratch);
 
   /// Validates every query against the featurizer's configured capacity
   /// (RejoinFeaturizer::CheckCapacity), so oversized workload queries
@@ -301,15 +257,9 @@ class HandsFreeOptimizer {
   /// instead of a featurizer crash inside a rollout worker.
   Status CheckWorkloadCapacity(const std::vector<Query>& workload) const;
 
-  /// Lazily grows the cached worker-env pool to serve `num_workers`,
-  /// refreshes the clones to the primary env's stage set, spins up the
-  /// shared thread pool when needed, and returns [env_, clones...] —
-  /// the per-worker envs behind every workload-wide entry point.
-  std::vector<FullPipelineEnv*> PrepareWorkerEnvs(int num_workers);
-
   Engine* engine_;
   HandsFreeConfig config_;
-  /// Baselines for EvaluateWorkload: the engine's cost model with the
+  /// Baselines for EvaluateOnEnv: the engine's cost model with the
   /// enumerator pinned to exhaustive DP resp. genetic search. Stateless
   /// (safe to share across evaluation threads).
   std::unique_ptr<TraditionalOptimizer> dp_baseline_;
@@ -320,9 +270,6 @@ class HandsFreeOptimizer {
   /// Strategy-agnostic frozen inference view over the active backend's
   /// model; the policy every plan-time search queries.
   std::unique_ptr<FrozenPolicy> frozen_policy_;
-  /// Per-worker env clones + pool for the workload-wide entry points.
-  std::vector<std::unique_ptr<FullPipelineEnv>> worker_envs_;
-  std::unique_ptr<ThreadPool> pool_;
   // Strategy backends (one non-null, per config).
   std::unique_ptr<DemonstrationLearner> lfd_;
   std::unique_ptr<BootstrapTrainer> bootstrap_;
@@ -331,11 +278,10 @@ class HandsFreeOptimizer {
   /// Search-as-teacher state (lazily created by RefineWithTeacher).
   std::unique_ptr<ExperiencePool> teacher_pool_;
   std::vector<TeacherIterationStats> teacher_stats_;
-  /// Reusable inference scratch behind the serial single-query planning
-  /// entry points (Optimize/OptimizeWithSearch): the MLP workspace and
+  /// Reusable inference scratch behind Optimize: the MLP workspace and
   /// search memory persist across queries instead of being rebuilt per
   /// call (searchers clear the scratch at the start of every search).
-  /// Parallel entry points give each worker its own pair instead.
+  /// EvaluateOnEnv callers bring their own pair per worker instead.
   MlpWorkspace plan_ws_;
   SearchScratch plan_scratch_;
   bool trained_ = false;

@@ -92,13 +92,16 @@ PlannerStats ComputePlannerStats(
   }
 
   // Measured-execution summary over the rows where both plans actually
-  // ran. Only the learned planner's plan is executed besides the
-  // baseline, so the baseline planners summarize their own (baseline)
-  // measurement — their exec_regret is identically zero.
+  // ran. Only the learned plan and the baseline plan are executed, so a
+  // traditional planner summarizes only rows it is the baseline of; its
+  // exec_regret is then identically zero. DP stats only ever see DP-tier
+  // rows, so the one planner to filter is GEQO, which is the baseline only
+  // where DP did not run.
   std::vector<double> exec_regrets;
   double exec_sum = 0.0;
   for (const auto& row : rows) {
     if (!row.exec_ran) continue;
+    if (planner == Planner::kGeqo && row.dp_ran) continue;
     const double ms = planner == Planner::kLearned ? row.learned_exec_ms
                                                    : row.baseline_exec_ms;
     exec_regrets.push_back(Regret(ms, row.baseline_exec_ms));

@@ -44,7 +44,9 @@ struct PlannerStats {
   double win_rate_latency = 0.0;
   /// Wall-clock; excluded from deterministic reports.
   double mean_planning_ms = 0.0;
-  /// Measured execution (rows with exec_ran; zero everywhere when the run
+  /// Measured execution (rows with exec_ran where this planner's plan was
+  /// the one executed: every such row for the learned planner, only the
+  /// rows it is the baseline of for DP/GEQO; zero everywhere when the run
   /// did not measure execution). exec_regret compares the planner's
   /// measured wall-clock against the baseline's — the measured
   /// counterpart of latency_regret, which compares simulated latencies.
@@ -54,6 +56,8 @@ struct PlannerStats {
 };
 
 /// Summarizes `planner`'s regret vs each row's baseline tier over `rows`.
+/// Planner::kDp expects rows where DP ran (the dp_* fields are zero
+/// elsewhere).
 PlannerStats ComputePlannerStats(
     const std::vector<HandsFreeOptimizer::QueryEvaluation>& rows,
     Planner planner);

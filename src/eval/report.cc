@@ -37,7 +37,7 @@ void AppendSummary(std::ostringstream* out, const char* key,
        << ",\"max\":" << Num(s.max) << "}";
 }
 
-void AppendPlanner(std::ostringstream* out, const char* key,
+void AppendPlanner(std::ostringstream* out, const std::string& key,
                    const PlannerStats& p, bool include_timings,
                    bool include_exec) {
   *out << Quoted(key) << ":{";
@@ -47,8 +47,6 @@ void AppendPlanner(std::ostringstream* out, const char* key,
   *out << ",\"win_rate_cost\":" << Num(p.win_rate_cost)
        << ",\"win_rate_latency\":" << Num(p.win_rate_latency)
        << ",\"num_queries\":" << p.num_queries;
-  // Measured-execution fields appear only on measured runs, so every
-  // committed (simulation-only) reference keeps its historic bytes.
   if (include_exec) {
     *out << ",";
     AppendSummary(out, "exec_regret", p.exec_regret);
@@ -61,95 +59,69 @@ void AppendPlanner(std::ostringstream* out, const char* key,
   *out << "}";
 }
 
+// `,"key":[item(v0),item(v1),...]`
+template <typename T, typename ItemFn>
+void AppendList(std::ostringstream* out, const char* key,
+                const std::vector<T>& values, ItemFn item) {
+  *out << "," << Quoted(key) << ":[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    *out << (i ? "," : "") << item(values[i]);
+  }
+  *out << "]";
+}
+
+std::string TopologyItem(JoinTopology topology) {
+  return Quoted(JoinTopologyName(topology));
+}
+
+std::string CountItem(int count) { return std::to_string(count); }
+
+std::string ModeKey(const SearchConfig& mode) {
+  return "learned:" + SearchConfigName(mode);
+}
+
 }  // namespace
 
 std::string ReportToJson(const EvalReport& report, bool include_timings) {
   const EvalConfig& config = report.config;
-  // The historic v1 layout is preserved bit-for-bit for a plain greedy
-  // sweep; search sections only appear (as v2) when there is a sweep, and
-  // the baseline-tier fields (dp_max_relations, band axes, per-cell
-  // baseline lists) only when some cell actually skips DP (v3).
-  const bool v1 = EvalConfigIsV1Compatible(config);
   const bool exec = config.measured_exec;
-  const bool v3 = EvalConfigHasLargeJoinTier(config);
   std::ostringstream out;
-  out << "{\"schema\":\""
-      << (v3 ? "hfq-eval-v3" : (v1 ? "hfq-eval-v1" : "hfq-eval-v2"))
-      << "\"";
+  out << "{\"schema\":\"" << kEvalReportSchema << "\"";
 
   out << ",\"config\":{\"seed\":" << config.seed
       << ",\"engine_scale\":" << Num(config.engine_scale)
       << ",\"strategy\":" << Quoted(TrainingStrategyName(config.strategy))
       << ",\"training_episodes\":" << config.training_episodes
       << ",\"training_families\":" << config.training_families
-      << ",\"queries_per_cell\":" << config.queries_per_cell;
-  // Teacher-off configs keep the historic config section byte-for-byte.
-  // Field names deliberately avoid the "search" substring, which the v1
-  // byte-layout gate forbids anywhere in a v1 report.
-  if (config.teacher_iterations > 0) {
-    out << ",\"teacher_iterations\":" << config.teacher_iterations
-        << ",\"teacher_mode\":" << Quoted(SearchConfigName(config.teacher_mode));
-  }
-  // Default single-measurement runs keep the historic bytes too; the
-  // repeat count only affects timing fields, never plans or costs.
-  if (config.plan_repeats != 1) {
-    out << ",\"plan_repeats\":" << config.plan_repeats;
-  }
-  // Only measured runs echo the knob, keeping simulation-only bytes.
-  if (config.measured_exec) {
-    out << ",\"measured_exec\":true";
-  }
-  out << ",\"topologies\":[";
-  for (size_t i = 0; i < config.topologies.size(); ++i) {
-    out << (i ? "," : "") << Quoted(JoinTopologyName(config.topologies[i]));
-  }
-  out << "],\"relation_counts\":[";
-  for (size_t i = 0; i < config.relation_counts.size(); ++i) {
-    out << (i ? "," : "") << config.relation_counts[i];
-  }
-  out << "]";
-  if (v3) {
-    out << ",\"dp_max_relations\":" << config.dp_max_relations;
-    if (!config.band_topologies.empty()) {
-      out << ",\"band_topologies\":[";
-      for (size_t i = 0; i < config.band_topologies.size(); ++i) {
-        out << (i ? "," : "")
-            << Quoted(JoinTopologyName(config.band_topologies[i]));
-      }
-      out << "],\"band_relation_counts\":[";
-      for (size_t i = 0; i < config.band_relation_counts.size(); ++i) {
-        out << (i ? "," : "") << config.band_relation_counts[i];
-      }
-      out << "]";
-    }
-  }
-  out << ",\"data_profiles\":[";
-  for (size_t i = 0; i < config.data_profiles.size(); ++i) {
-    out << (i ? "," : "") << "{\"name\":" << Quoted(config.data_profiles[i].name)
-        << ",\"skew_scale\":" << Num(config.data_profiles[i].skew_scale)
-        << "}";
-  }
-  out << "],\"predicate_mixes\":[";
-  for (size_t i = 0; i < config.predicate_mixes.size(); ++i) {
-    out << (i ? "," : "") << Quoted(config.predicate_mixes[i].name);
-  }
-  out << "]";
-  if (!v1) {
-    out << ",\"search_modes\":[";
-    for (size_t i = 0; i < config.search_modes.size(); ++i) {
-      out << (i ? "," : "")
-          << Quoted(SearchConfigName(config.search_modes[i]));
-    }
-    out << "]";
-  }
+      << ",\"queries_per_cell\":" << config.queries_per_cell
+      << ",\"teacher_iterations\":" << config.teacher_iterations
+      << ",\"teacher_mode\":" << Quoted(SearchConfigName(config.teacher_mode))
+      << ",\"plan_repeats\":" << config.plan_repeats
+      << ",\"measured_exec\":" << (exec ? "true" : "false");
+  AppendList(&out, "topologies", config.topologies, TopologyItem);
+  AppendList(&out, "relation_counts", config.relation_counts, CountItem);
+  out << ",\"dp_max_relations\":" << config.dp_max_relations;
+  AppendList(&out, "band_topologies", config.band_topologies, TopologyItem);
+  AppendList(&out, "band_relation_counts", config.band_relation_counts,
+             CountItem);
+  AppendList(&out, "data_profiles", config.data_profiles,
+             [](const DataProfile& profile) {
+               return "{\"name\":" + Quoted(profile.name) +
+                      ",\"skew_scale\":" + Num(profile.skew_scale) + "}";
+             });
+  AppendList(&out, "predicate_mixes", config.predicate_mixes,
+             [](const PredicateMix& mix) { return Quoted(mix.name); });
+  AppendList(&out, "search_modes", config.search_modes,
+             [](const SearchConfig& mode) {
+               return Quoted(SearchConfigName(mode));
+             });
   out << "}";
 
   out << ",\"cells\":[";
   for (size_t i = 0; i < report.cells.size(); ++i) {
     const CellResult& cell = report.cells[i];
     out << (i ? "," : "") << "{\"key\":" << Quoted(cell.cell.Key(config))
-        << ",\"topology\":"
-        << Quoted(JoinTopologyName(cell.cell.topology))
+        << ",\"topology\":" << TopologyItem(cell.cell.topology)
         << ",\"relations\":" << cell.cell.num_relations << ",\"data\":"
         << Quoted(config.data_profiles[static_cast<size_t>(
                                            cell.cell.data_profile)]
@@ -157,14 +129,8 @@ std::string ReportToJson(const EvalReport& report, bool include_timings) {
         << ",\"predicates\":"
         << Quoted(config.predicate_mixes[static_cast<size_t>(
                                              cell.cell.predicate_mix)]
-                      .name);
-    // v3 names each cell's baseline tier explicitly; DP-free cells carry
-    // no "dp" planner section at all.
-    if (v3) {
-      out << ",\"baselines\":"
-          << (cell.has_dp ? "[\"dp\",\"geqo\"]" : "[\"geqo\"]");
-    }
-    out << ",\"planners\":{";
+                      .name)
+        << ",\"planners\":{";
     AppendPlanner(&out, "learned", cell.learned, include_timings, exec);
     if (cell.has_dp) {
       out << ",";
@@ -174,10 +140,8 @@ std::string ReportToJson(const EvalReport& report, bool include_timings) {
     AppendPlanner(&out, "geqo", cell.geqo, include_timings, exec);
     for (size_t m = 0; m < cell.more_search.size(); ++m) {
       out << ",";
-      AppendPlanner(
-          &out,
-          ("learned:" + SearchConfigName(config.search_modes[m + 1])).c_str(),
-          cell.more_search[m], include_timings, exec);
+      AppendPlanner(&out, ModeKey(config.search_modes[m + 1]),
+                    cell.more_search[m], include_timings, exec);
     }
     out << "}}";
   }
@@ -185,16 +149,16 @@ std::string ReportToJson(const EvalReport& report, bool include_timings) {
 
   out << ",\"aggregate\":{";
   AppendPlanner(&out, "learned", report.agg_learned, include_timings, exec);
-  out << ",";
-  AppendPlanner(&out, "dp", report.agg_dp, include_timings, exec);
+  if (report.agg_dp.num_queries > 0) {
+    out << ",";
+    AppendPlanner(&out, "dp", report.agg_dp, include_timings, exec);
+  }
   out << ",";
   AppendPlanner(&out, "geqo", report.agg_geqo, include_timings, exec);
   for (size_t m = 0; m < report.agg_more_search.size(); ++m) {
     out << ",";
-    AppendPlanner(
-        &out,
-        ("learned:" + SearchConfigName(config.search_modes[m + 1])).c_str(),
-        report.agg_more_search[m], include_timings, exec);
+    AppendPlanner(&out, ModeKey(config.search_modes[m + 1]),
+                  report.agg_more_search[m], include_timings, exec);
   }
   out << "}";
 

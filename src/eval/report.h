@@ -1,8 +1,8 @@
 // The machine-readable evaluation report: per-cell and aggregate regret
-// statistics, serialized as JSON ("hfq-eval-v1" schema, documented in the
-// README's Evaluation harness section). This is the artifact that seeds
-// the BENCH_*.json trajectory and that the golden regression gates in
-// tests/eval_test.cc consume.
+// statistics, serialized as JSON (schema kEvalReportSchema, documented in
+// the README's Evaluation harness section). This is the artifact that
+// seeds the BENCH_*.json trajectory and that the golden regression gates
+// in tests/eval_test.cc consume.
 #ifndef HFQ_EVAL_REPORT_H_
 #define HFQ_EVAL_REPORT_H_
 
@@ -51,20 +51,23 @@ struct EvalReport {
   double total_ms = 0.0;
 };
 
+/// The one report layout's schema name.
+inline constexpr char kEvalReportSchema[] = "hfq-eval-v4";
+
 /// Serializes with a stable field order and %.17g doubles, so two runs
-/// with identical stats produce identical bytes. `include_timings` adds
-/// wall-clock sections (training/planning times) — leave it off when the
-/// bytes must be deterministic. Execution knobs that cannot change the
-/// stats (num_workers, include_timings itself) are deliberately not
-/// echoed. Schema: a single default-greedy search sweep emits the
-/// historic "hfq-eval-v1" bytes exactly; any other sweep emits
-/// "hfq-eval-v2", which adds `config.search_modes` plus per-cell and
-/// aggregate "learned:<mode>" planner sections. A run with a large-join
-/// tier (some cell above dp_max_relations) emits "hfq-eval-v3", which
-/// additionally echoes dp_max_relations and the band axes in the config
-/// section, names each cell's baselines (`"baselines":["dp","geqo"]` or
-/// `["geqo"]`), omits the "dp" planner section from DP-free cells, and
-/// restricts the aggregate "dp" section to the rows where DP ran.
+/// with identical stats produce identical bytes. Layout: `schema`; a
+/// `config` echo carrying every EvalConfig field that can change the
+/// stats (execution knobs — num_workers, include_timings — are not
+/// echoed); `cells`, each with its coordinates and a `planners` map; and
+/// the `aggregate` planner map. A planner map holds "learned" (search
+/// mode 0), "dp", "geqo" and one "learned:<mode>" per further search
+/// mode. Sections appear only when their data exists: "dp" only where
+/// DP ran (its absence means the cell is scored against GEQO, and the
+/// aggregate "dp" covers only the rows where DP ran), the exec_regret /
+/// num_exec / mean_exec_ms fields only on measured runs, and the
+/// mean_planning_ms fields plus the `timings` section only when
+/// `include_timings` is set — leave it off when the bytes must be
+/// deterministic.
 std::string ReportToJson(const EvalReport& report, bool include_timings);
 
 /// ReportToJson to a file.

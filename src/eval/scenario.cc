@@ -50,8 +50,7 @@ EvalConfig::EvalConfig() {
 EvalConfig ReducedEvalConfig() {
   EvalConfig config;
   config.relation_counts = {3, 4};
-  // No band: the smoke matrix must keep emitting the historic v1 bytes
-  // that the golden gates and CI diff compare against.
+  // No band: every smoke cell stays small enough to score against DP.
   config.band_topologies.clear();
   config.band_relation_counts.clear();
   config.predicate_mixes.resize(1);
@@ -155,22 +154,6 @@ Status ValidateEvalConfig(const EvalConfig& config) {
     }
   }
   return Status::OK();
-}
-
-bool EvalConfigHasLargeJoinTier(const EvalConfig& config) {
-  for (int n : config.relation_counts) {
-    if (n > config.dp_max_relations) return true;
-  }
-  for (int n : config.band_relation_counts) {
-    if (n > config.dp_max_relations) return true;
-  }
-  return !config.band_topologies.empty();
-}
-
-bool EvalConfigIsV1Compatible(const EvalConfig& config) {
-  return config.search_modes.size() == 1 &&
-         IsDefaultGreedy(config.search_modes[0]) &&
-         !EvalConfigHasLargeJoinTier(config) && !config.measured_exec;
 }
 
 std::string ScenarioCell::Key(const EvalConfig& config) const {

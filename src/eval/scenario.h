@@ -45,10 +45,8 @@ struct EvalConfig {
   /// with at most this many relations. Cells above it are scored against
   /// GEQO instead (QueryEvaluation::baseline_*), mirroring PostgreSQL's
   /// geqo_threshold tiering — beyond exhaustive reach, the genetic planner
-  /// IS the traditional optimizer's behavior. Any cell above the ceiling
-  /// switches the report to the "hfq-eval-v3" schema, which names each
-  /// cell's baselines; configs where every cell fits keep their historic
-  /// v1/v2 bytes.
+  /// IS the traditional optimizer's behavior; such cells carry no "dp"
+  /// planner section in the report.
   int dp_max_relations = 12;
   /// The DP-infeasible band: extra large-join cells appended after the
   /// regular matrix, crossed with the same data profiles and predicate
@@ -76,9 +74,7 @@ struct EvalConfig {
   /// Plan-search sweep for the learned planner: every query of every cell
   /// is planned once per mode (DP/GEQO baselines are search-independent
   /// and run once). Mode 0 is the report's "learned" planner; additional
-  /// modes appear as "learned:<mode>" sections. When this is exactly
-  /// {default greedy}, the report is byte-identical to the pre-search
-  /// "hfq-eval-v1" schema; otherwise it is "hfq-eval-v2".
+  /// modes appear as "learned:<mode>" sections.
   std::vector<SearchConfig> search_modes;
   /// Search-as-teacher refinement iterations run after each profile's
   /// training (HandsFreeOptimizer::RefineWithTeacher): the frozen policy
@@ -86,8 +82,7 @@ struct EvalConfig {
   /// topology x relation-count combination) with `teacher_mode`, and the
   /// backend trains on the cheapest discovered plan per query. On by
   /// default — this is what closes the greedy-inference regret gap. 0
-  /// disables refinement entirely (the pre-teacher training path,
-  /// byte-identical reports included).
+  /// disables refinement entirely (the pre-teacher training path).
   int teacher_iterations = 4;
   /// Plan search the teacher uses (constructor default: beam-4).
   SearchConfig teacher_mode;
@@ -95,14 +90,14 @@ struct EvalConfig {
   /// plans are additionally RUN through the vectorized executor
   /// (hfq_eval --measured-exec), and the report carries measured-latency
   /// regret next to the simulated one. Wall-clock measurements are
-  /// machine-dependent, so a measured run never keeps the v1 byte layout
-  /// and its reports are not committed as cross-machine references.
+  /// machine-dependent, so measured reports are not committed as
+  /// cross-machine references.
   bool measured_exec = false;
   /// Emit wall-clock timing fields in the JSON report. Turn off for
   /// byte-identical reports across runs.
   bool include_timings = true;
   /// Planning-time measurement repeats per (query, mode). 1 (default) is
-  /// the historic single cold measurement; R > 1 plans each query once
+  /// a single cold measurement; R > 1 plans each query once
   /// unmeasured (warmup) plus R timed times and reports the median
   /// planning_ms — the plan, and thus every cost/regret field, is
   /// identical either way.
@@ -117,16 +112,6 @@ EvalConfig ReducedEvalConfig();
 /// Rejects empty axes, out-of-range counts, duplicate axis names
 /// (including duplicate search-mode tags).
 Status ValidateEvalConfig(const EvalConfig& config);
-
-/// True when some cell of the matrix (regular or band) exceeds
-/// dp_max_relations, i.e. the run has a GEQO-baselined tier and the
-/// report must use the "hfq-eval-v3" schema.
-bool EvalConfigHasLargeJoinTier(const EvalConfig& config);
-
-/// True when the report this config produces keeps the pre-search
-/// "hfq-eval-v1" byte layout: a single default-greedy search mode and no
-/// large-join tier.
-bool EvalConfigIsV1Compatible(const EvalConfig& config);
 
 /// One cell of the matrix.
 struct ScenarioCell {

@@ -91,10 +91,6 @@ Result<SearchConfig> ParseSearchSpec(const std::string& spec) {
   return Status::InvalidArgument("unknown search spec: " + spec);
 }
 
-bool IsDefaultGreedy(const SearchConfig& config) {
-  return config.mode == SearchMode::kGreedy && config.time_budget_ms <= 0.0;
-}
-
 std::unique_ptr<PlanSearch> MakePlanSearch(const SearchConfig& config) {
   switch (config.mode) {
     case SearchMode::kGreedy:

@@ -100,11 +100,6 @@ std::string SearchConfigName(const SearchConfig& config);
 /// "best-of-<K>", "beam-<W>", "best-first-<W>".
 Result<SearchConfig> ParseSearchSpec(const std::string& spec);
 
-/// True when `config` is plain greedy search with no budget — the mode
-/// whose behavior (and evaluation report bytes) must stay identical to
-/// the historic single-rollout inference path.
-bool IsDefaultGreedy(const SearchConfig& config);
-
 /// What a search found.
 struct SearchResult {
   /// The chosen action sequence, replayed onto the searched env before

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "sql/lexer.h"
@@ -241,8 +242,12 @@ class Parser {
       HFQ_ASSIGN_OR_RETURN(ColumnRef ref, Resolve(raw));
       // Non-aggregate select items act as GROUP BY keys if aggregates are
       // present; otherwise they are plain projections (tracked as group_by
-      // for execution simplicity only when aggregates exist).
-      if (!query_.aggregates.empty()) {
+      // for execution simplicity only when aggregates exist). A column the
+      // GROUP BY clause already names stays one key, so
+      // ParseSql(q.ToSql()) keeps q's keys.
+      if (!query_.aggregates.empty() &&
+          std::find(query_.group_by.begin(), query_.group_by.end(), ref) ==
+              query_.group_by.end()) {
         query_.group_by.push_back(ref);
       }
     }

@@ -1,8 +1,9 @@
 // A fixed-size worker pool for CPU-bound fan-out (parallel rollout
-// collection, workload-wide planning). Tasks are submitted as callables and
-// observed through std::future: exceptions thrown inside a task are
-// captured by the promise and re-thrown from future::get() on the caller's
-// thread, so worker failures never die silently.
+// collection, eval cells, search and executor morsels). Tasks are
+// submitted as callables and observed through std::future: exceptions
+// thrown inside a task are captured by the promise and re-thrown from
+// future::get() on the caller's thread, so worker failures never die
+// silently.
 #ifndef HFQ_UTIL_THREAD_POOL_H_
 #define HFQ_UTIL_THREAD_POOL_H_
 

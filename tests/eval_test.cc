@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "eval/harness.h"
 #include "tests/test_common.h"
@@ -37,8 +39,7 @@ constexpr double kGoldenLearnedMeanLatencyRegretCeiling = 1e6;
 // the teacher loop stops working.
 constexpr double kGoldenTeacherGreedyMeanCostRegret = 3.4;
 
-// Greedy-only sweep: must keep producing the pre-search "hfq-eval-v1"
-// report (the PR 4 behavior) byte-for-byte.
+// Greedy-only sweep over the reduced matrix.
 EvalConfig TestConfig() {
   EvalConfig config = ReducedEvalConfig();
   config.seed = 20260730;
@@ -75,6 +76,46 @@ const EvalReport& SearchSweepReport() {
     return new EvalReport(std::move(*result));
   }();
   return *report;
+}
+
+// Every report's "config" object carries exactly these fields, in order,
+// whatever their values.
+const std::vector<std::string>& ConfigFieldNames() {
+  static const std::vector<std::string> names = {
+      "seed", "engine_scale", "strategy", "training_episodes",
+      "training_families", "queries_per_cell", "teacher_iterations",
+      "teacher_mode", "plan_repeats", "measured_exec", "topologies",
+      "relation_counts", "dp_max_relations", "band_topologies",
+      "band_relation_counts", "data_profiles", "predicate_mixes",
+      "search_modes"};
+  return names;
+}
+
+// The keys of the report's top-level "config" object, in order.
+std::vector<std::string> ConfigKeys(const std::string& json) {
+  std::vector<std::string> keys;
+  size_t i = json.find("\"config\":{");
+  if (i == std::string::npos) return keys;
+  i += std::string("\"config\":{").size();
+  int depth = 1;
+  bool expect_key = true;
+  while (i < json.size() && depth > 0) {
+    const char c = json[i];
+    if (c == '"') {
+      const size_t end = json.find('"', i + 1);
+      if (depth == 1 && expect_key) {
+        keys.push_back(json.substr(i + 1, end - i - 1));
+        expect_key = false;
+      }
+      i = end + 1;
+      continue;
+    }
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') --depth;
+    if (c == ',' && depth == 1) expect_key = true;
+    ++i;
+  }
+  return keys;
 }
 
 void ExpectSummaryFinite(const SummaryStats& s) {
@@ -161,8 +202,8 @@ TEST(EvalGoldenGatesTest, PlanQualityWithinThresholds) {
 
 TEST(EvalGoldenGatesTest, TeacherRefinementClosesTheGreedyGap) {
   // The same matrix without the teacher loop: the config knob must be a
-  // real off-switch (pre-teacher v1 report bytes, no teacher fields) and
-  // the refined policy must not be worse than the unrefined one. At this
+  // real off-switch (echoed as 0 iterations) and the refined policy must
+  // not be worse than the unrefined one. At this
   // seed the gap is ~40x, so the comparison has enormous slack; it fails
   // only if refinement stops helping at all.
   EvalConfig off_config = TestConfig();
@@ -171,8 +212,7 @@ TEST(EvalGoldenGatesTest, TeacherRefinementClosesTheGreedyGap) {
   auto off = off_eval.Run();
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   const std::string off_json = ReportToJson(*off, false);
-  EXPECT_EQ(off_json.find("teacher"), std::string::npos);
-  EXPECT_NE(off_json.find("\"schema\":\"hfq-eval-v1\""), std::string::npos);
+  EXPECT_NE(off_json.find("\"teacher_iterations\":0"), std::string::npos);
 
   const EvalReport& on = SharedReport();
   const std::string on_json = ReportToJson(on, false);
@@ -217,22 +257,33 @@ TEST(EvalDeterminismTest, WorkerCountDoesNotChangeTheReport) {
 TEST(EvalReportTest, JsonShapeAndTimingsGate) {
   const EvalReport& report = SharedReport();
   const std::string no_timings = ReportToJson(report, false);
-  // A greedy-only sweep keeps the PR 4 v1 schema with no search fields —
-  // byte-compatible with every pre-search consumer.
-  EXPECT_NE(no_timings.find("\"schema\":\"hfq-eval-v1\""), std::string::npos);
-  EXPECT_EQ(no_timings.find("search"), std::string::npos);
-  // Baseline-tier fields are conditional too: a band-free run within
-  // dp_max_relations keeps the historic bytes.
-  EXPECT_EQ(no_timings.find("band"), std::string::npos);
-  EXPECT_EQ(no_timings.find("dp_max_relations"), std::string::npos);
-  EXPECT_EQ(no_timings.find("baselines"), std::string::npos);
+  const std::string head =
+      std::string("{\"schema\":\"") + kEvalReportSchema + "\",\"config\":{";
+  EXPECT_EQ(no_timings.substr(0, head.size()), head);
+  EXPECT_EQ(ConfigKeys(no_timings), ConfigFieldNames());
+  EXPECT_NE(no_timings.find("\"search_modes\":[\"greedy\"]"),
+            std::string::npos);
+  EXPECT_NE(no_timings.find("\"band_topologies\":[],"
+                            "\"band_relation_counts\":[]"),
+            std::string::npos);
+  EXPECT_NE(no_timings.find("\"measured_exec\":false"), std::string::npos);
   EXPECT_NE(no_timings.find("\"cells\":["), std::string::npos);
-  EXPECT_NE(no_timings.find("\"aggregate\":{"), std::string::npos);
+  EXPECT_NE(no_timings.find("\"aggregate\":{\"learned\":{"),
+            std::string::npos);
+  EXPECT_NE(no_timings.find("\"dp\":{"), std::string::npos);
+  // Sections whose data does not exist are absent: no exec fields on a
+  // simulation-only run, no timings unless asked for.
+  EXPECT_EQ(no_timings.find("exec_regret"), std::string::npos);
+  EXPECT_EQ(no_timings.find("num_exec"), std::string::npos);
   EXPECT_EQ(no_timings.find("\"timings\""), std::string::npos);
   EXPECT_EQ(no_timings.find("planning_ms"), std::string::npos);
   const std::string with_timings = ReportToJson(report, true);
   EXPECT_NE(with_timings.find("\"timings\""), std::string::npos);
   EXPECT_NE(with_timings.find("\"mean_planning_ms\""), std::string::npos);
+  EXPECT_EQ(ConfigKeys(with_timings), ConfigFieldNames());
+  // One layout: the search sweep's config carries the same fields.
+  EXPECT_EQ(ConfigKeys(ReportToJson(SearchSweepReport(), false)),
+            ConfigFieldNames());
 }
 
 // --- Plan-search sweep gates (the PR 5 acceptance criteria) ------------
@@ -260,7 +311,6 @@ TEST(EvalSearchGatesTest, SweptModesCoverReportAndAggregate) {
   }
 
   const std::string json = ReportToJson(report, false);
-  EXPECT_NE(json.find("\"schema\":\"hfq-eval-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"search_modes\":[\"greedy\",\"best-of-8\","
                       "\"beam-4\"]"),
             std::string::npos);
@@ -342,7 +392,6 @@ TEST(EvalBandGatesTest, BandCellsRunWithoutDpAndScoreAgainstGeqo) {
   config.band_topologies = {JoinTopology::kChain};
   config.band_relation_counts = {13};
   ASSERT_TRUE(ValidateEvalConfig(config).ok());
-  ASSERT_TRUE(EvalConfigHasLargeJoinTier(config));
 
   ScenarioEvaluator evaluator(config);
   auto report = evaluator.Run();
@@ -386,15 +435,13 @@ TEST(EvalBandGatesTest, BandCellsRunWithoutDpAndScoreAgainstGeqo) {
   EXPECT_EQ(report->agg_learned.num_queries,
             static_cast<int>(regular.rows.size() + band.rows.size()));
 
-  // v3 schema: config echoes the tier knobs, the band cell names its
-  // baselines and carries no "dp" planner section.
+  // The config echoes the tier knobs; the band cell carries no "dp"
+  // planner section, which is what marks it as scored against GEQO.
   const std::string json = ReportToJson(*report, false);
-  EXPECT_NE(json.find("\"schema\":\"hfq-eval-v3\""), std::string::npos);
+  EXPECT_EQ(ConfigKeys(json), ConfigFieldNames());
   EXPECT_NE(json.find("\"dp_max_relations\":12"), std::string::npos);
   EXPECT_NE(json.find("\"band_topologies\":[\"chain\"]"), std::string::npos);
   EXPECT_NE(json.find("\"band_relation_counts\":[13]"), std::string::npos);
-  EXPECT_NE(json.find("\"baselines\":[\"dp\",\"geqo\"]"), std::string::npos);
-  EXPECT_NE(json.find("\"baselines\":[\"geqo\"]"), std::string::npos);
   const size_t band_cell_pos = json.find("\"key\":\"chain/r13");
   const size_t aggregate_pos = json.find("\"aggregate\":");
   ASSERT_NE(band_cell_pos, std::string::npos);
@@ -404,6 +451,8 @@ TEST(EvalBandGatesTest, BandCellsRunWithoutDpAndScoreAgainstGeqo) {
   EXPECT_EQ(band_cell_json.find("\"dp\":"), std::string::npos)
       << "band cell must not carry a dp planner section";
   EXPECT_NE(band_cell_json.find("\"geqo\":"), std::string::npos);
+  const std::string regular_cell_json = json.substr(0, band_cell_pos);
+  EXPECT_NE(regular_cell_json.find("\"dp\":"), std::string::npos);
 
   // Determinism holds across the band too.
   ScenarioEvaluator again(config);
@@ -450,9 +499,57 @@ TEST(EvalConfigTest, ValidationRejectsBadConfigs) {
   EXPECT_TRUE(ValidateEvalConfig(TestConfig()).ok());
 }
 
-// --- Facade-level EvaluateWorkload -------------------------------------
+// --- Measured execution ------------------------------------------------
 
-TEST(EvaluateWorkloadTest, PerQueryRowsMatchAndParallelize) {
+TEST(EvalExecTest, TraditionalPlannersCountOnlyTheRowsTheyBaseline) {
+  // r3 is scored against DP, r4 (above dp_max_relations) against GEQO.
+  // Only the learned plan and the baseline plan run, so measured stats
+  // belong to the learned planner and to each row's baseline planner.
+  EvalConfig config = ReducedEvalConfig();
+  config.seed = 20260812;
+  config.include_timings = false;
+  config.search_modes = {SearchConfig()};
+  config.topologies = {JoinTopology::kChain};
+  config.relation_counts = {3, 4};
+  config.dp_max_relations = 3;
+  config.data_profiles.resize(1);
+  config.teacher_iterations = 0;
+  config.measured_exec = true;
+  ScenarioEvaluator evaluator(config);
+  auto report = evaluator.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->cells.size(), 2u);
+
+  const CellResult& dp_tier = report->cells[0];
+  const CellResult& geqo_tier = report->cells[1];
+  ASSERT_TRUE(dp_tier.has_dp);
+  ASSERT_FALSE(geqo_tier.has_dp);
+  EXPECT_GT(dp_tier.learned.num_exec, 0);
+  EXPECT_EQ(dp_tier.dp.num_exec, dp_tier.learned.num_exec);
+  EXPECT_EQ(dp_tier.geqo.num_exec, 0);
+  EXPECT_EQ(dp_tier.geqo.mean_exec_ms, 0.0);
+  EXPECT_GT(geqo_tier.learned.num_exec, 0);
+  EXPECT_EQ(geqo_tier.geqo.num_exec, geqo_tier.learned.num_exec);
+  // Aggregates: DP and GEQO split the executed rows by baseline tier.
+  EXPECT_EQ(report->agg_dp.num_exec, dp_tier.dp.num_exec);
+  EXPECT_EQ(report->agg_geqo.num_exec, geqo_tier.geqo.num_exec);
+  EXPECT_EQ(report->agg_dp.num_exec + report->agg_geqo.num_exec,
+            report->agg_learned.num_exec);
+
+  const std::string json = ReportToJson(*report, false);
+  EXPECT_EQ(ConfigKeys(json), ConfigFieldNames());
+  EXPECT_NE(json.find("\"measured_exec\":true"), std::string::npos);
+  const size_t geqo_pos = json.find("\"geqo\":");
+  const size_t next_cell_pos = json.find("\"key\":\"chain/r4");
+  ASSERT_NE(geqo_pos, std::string::npos);
+  ASSERT_LT(geqo_pos, next_cell_pos);
+  const std::string geqo_json = json.substr(geqo_pos, next_cell_pos - geqo_pos);
+  EXPECT_NE(geqo_json.find("\"num_exec\":0,"), std::string::npos);
+}
+
+// --- Facade-level EvaluateOnEnv ----------------------------------------
+
+TEST(EvaluateOnEnvTest, RejectsBadRequestsAndBoundsCostsByDp) {
   Engine& engine = testing::SharedEngine();
   WorkloadGenerator gen(&engine.catalog(), 4242);
   std::vector<Query> train, eval;
@@ -473,46 +570,33 @@ TEST(EvaluateWorkloadTest, PerQueryRowsMatchAndParallelize) {
   config.strategy = TrainingStrategy::kCostModelBootstrapping;
   config.max_relations = 5;
   config.training_episodes = 20;
-  HandsFreeOptimizer serial(&engine, config);
+  HandsFreeOptimizer optimizer(&engine, config);
+  std::unique_ptr<FullPipelineEnv> env = optimizer.MakeWorkerEnv();
+  MlpWorkspace ws;
+  SearchScratch scratch;
+  auto evaluate = [&](const Query& query) {
+    return optimizer.EvaluateOnEnv(env.get(), query, &ws, SearchConfig(),
+                                   /*plan_repeats=*/1, &scratch,
+                                   /*with_dp=*/true, /*measured_exec=*/false);
+  };
   // Untrained evaluation is rejected.
-  EXPECT_EQ(serial.EvaluateWorkload(eval).status().code(),
+  EXPECT_EQ(evaluate(eval[0]).status().code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(serial.Train(train).ok());
-  auto rows = serial.EvaluateWorkload(eval);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  ASSERT_EQ(rows->size(), eval.size());
-  for (const auto& row : *rows) {
-    EXPECT_GE(row.learned_cost, row.dp_cost * (1.0 - 1e-9));
-    EXPECT_GE(row.geqo_cost, row.dp_cost * (1.0 - 1e-9));
-    EXPECT_GT(row.learned_latency_ms, 0.0);
+  ASSERT_TRUE(optimizer.Train(train).ok());
+  for (const Query& query : eval) {
+    auto row = evaluate(query);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_TRUE(row->dp_ran);
+    EXPECT_EQ(row->baseline_cost, row->dp_cost);
+    EXPECT_GE(row->learned_cost, row->dp_cost * (1.0 - 1e-9));
+    EXPECT_GE(row->geqo_cost, row->dp_cost * (1.0 - 1e-9));
+    EXPECT_GT(row->learned_latency_ms, 0.0);
   }
 
-  // Same model (via save/load — training with 2 rollout workers would
-  // legitimately produce different weights), two evaluation workers:
-  // identical rows in workload order.
-  HandsFreeConfig par_config = config;
-  par_config.num_rollout_workers = 2;
-  HandsFreeOptimizer parallel(&engine, par_config);
-  const std::string model_path = ::testing::TempDir() + "/eval_ew_model.txt";
-  ASSERT_TRUE(serial.SaveModel(model_path).ok());
-  ASSERT_TRUE(parallel.LoadModel(model_path).ok());
-  auto par_rows = parallel.EvaluateWorkload(eval);
-  ASSERT_TRUE(par_rows.ok());
-  ASSERT_EQ(par_rows->size(), rows->size());
-  for (size_t i = 0; i < rows->size(); ++i) {
-    EXPECT_EQ((*rows)[i].learned_cost, (*par_rows)[i].learned_cost);
-    EXPECT_EQ((*rows)[i].learned_latency_ms,
-              (*par_rows)[i].learned_latency_ms);
-    EXPECT_EQ((*rows)[i].dp_cost, (*par_rows)[i].dp_cost);
-    EXPECT_EQ((*rows)[i].geqo_cost, (*par_rows)[i].geqo_cost);
-  }
-
-  // Oversized queries are rejected up front.
+  // A query above max_relations is rejected at the boundary.
   auto big = gen.GenerateQuery(7, "ew_too_big");
   ASSERT_TRUE(big.ok());
-  EXPECT_EQ(serial.EvaluateWorkload({*big}).status().code(),
-            StatusCode::kInvalidArgument);
-  std::remove(model_path.c_str());
+  EXPECT_EQ(evaluate(*big).status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

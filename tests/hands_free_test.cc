@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -193,7 +194,9 @@ TEST(HandsFreeTest, SaveLoadRoundTripReproducesPlans) {
 // breaks ties by action index — never by Rng state — and stochastic
 // searches derive their streams per call, so a fresh-loaded model gives
 // bit-identical Optimize results no matter how much sampling (training
-// episodes, prior searches) happened in between, for every strategy.
+// episodes, prior searches) happened in between, for every strategy. The
+// searched side is a second facade configured for best-of-4 that loads
+// the same saved model.
 TEST_P(HandsFreeStrategyTest, OptimizeDeterministicAfterLoadRegardlessOfPriorSampling) {
   const std::string path = ModelPath(
       std::string("determinism_") +
@@ -205,17 +208,18 @@ TEST_P(HandsFreeStrategyTest, OptimizeDeterministicAfterLoadRegardlessOfPriorSam
   ASSERT_TRUE(trained.Train(workload).ok());
   ASSERT_TRUE(trained.SaveModel(path).ok());
 
+  HandsFreeConfig searched_config = config;
+  searched_config.search.mode = SearchMode::kBestOfK;
+  searched_config.search.best_of_k = 4;
   HandsFreeOptimizer restored(&testing::SharedEngine(), config);
+  HandsFreeOptimizer searched(&testing::SharedEngine(), searched_config);
   ASSERT_TRUE(restored.LoadModel(path).ok());
-
-  SearchConfig best_of_4;
-  best_of_4.mode = SearchMode::kBestOfK;
-  best_of_4.best_of_k = 4;
+  ASSERT_TRUE(searched.LoadModel(path).ok());
 
   for (const Query& q : workload) {
     auto first = restored.Optimize(q);
     ASSERT_TRUE(first.ok());
-    auto first_searched = restored.OptimizeWithSearch(q, best_of_4);
+    auto first_searched = searched.Optimize(q);
     ASSERT_TRUE(first_searched.ok());
     // Perturb anything stateful between the calls: more training (which
     // samples from the strategy's Rng; the incremental curriculum is not
@@ -223,14 +227,17 @@ TEST_P(HandsFreeStrategyTest, OptimizeDeterministicAfterLoadRegardlessOfPriorSam
     // alone) and interleaved stochastic searches.
     if (GetParam() != TrainingStrategy::kIncrementalHybrid) {
       ASSERT_TRUE(restored.Train(workload).ok());
+      ASSERT_TRUE(searched.Train(workload).ok());
     }
     for (int burn = 0; burn < 3; ++burn) {
-      ASSERT_TRUE(restored.OptimizeWithSearch(workload[0], best_of_4).ok());
+      ASSERT_TRUE(searched.Optimize(workload[0]).ok());
     }
-    ASSERT_TRUE(restored.LoadModel(path).ok());  // Back to the saved model.
+    // Back to the saved model.
+    ASSERT_TRUE(restored.LoadModel(path).ok());
+    ASSERT_TRUE(searched.LoadModel(path).ok());
     auto second = restored.Optimize(q);
     ASSERT_TRUE(second.ok());
-    auto second_searched = restored.OptimizeWithSearch(q, best_of_4);
+    auto second_searched = searched.Optimize(q);
     ASSERT_TRUE(second_searched.ok());
     EXPECT_EQ((*first)->est_cost, (*second)->est_cost) << q.name;
     EXPECT_EQ((*first)->ToString(q), (*second)->ToString(q)) << q.name;
@@ -244,12 +251,17 @@ TEST_P(HandsFreeStrategyTest, OptimizeDeterministicAfterLoadRegardlessOfPriorSam
 
 // Every strategy's searched inference is never costlier than its greedy
 // inference (the greedy rollout is always in the candidate set), and the
-// facade's configured search mode is what Optimize runs.
+// facade's configured search mode is what Optimize runs: each searched
+// facade loads the greedy facade's saved model and must return the plan
+// that EvaluateLearnedOnEnv finds under the same search config.
 TEST_P(HandsFreeStrategyTest, SearchModesNeverWorseThanGreedyByCost) {
   HandsFreeConfig config = TinyConfig(GetParam());
   HandsFreeOptimizer optimizer(&testing::SharedEngine(), config);
   std::vector<Query> workload = TinyWorkload(4, 4, 911);
   ASSERT_TRUE(optimizer.Train(workload).ok());
+  const std::string path = ModelPath(
+      std::string("searchcfg_") + std::to_string(static_cast<int>(GetParam())));
+  ASSERT_TRUE(optimizer.SaveModel(path).ok());
 
   SearchConfig best_of_8;
   best_of_8.mode = SearchMode::kBestOfK;
@@ -258,31 +270,29 @@ TEST_P(HandsFreeStrategyTest, SearchModesNeverWorseThanGreedyByCost) {
   beam_4.mode = SearchMode::kBeam;
   beam_4.beam_width = 4;
 
-  for (const Query& q : workload) {
-    auto greedy = optimizer.Optimize(q);
-    ASSERT_TRUE(greedy.ok());
-    for (const SearchConfig& mode : {best_of_8, beam_4}) {
-      auto searched = optimizer.OptimizeWithSearch(q, mode);
-      ASSERT_TRUE(searched.ok()) << searched.status().ToString();
-      EXPECT_LE((*searched)->est_cost, (*greedy)->est_cost + 1e-12)
+  std::unique_ptr<FullPipelineEnv> env = optimizer.MakeWorkerEnv();
+  MlpWorkspace ws;
+  for (const SearchConfig& mode : {best_of_8, beam_4}) {
+    HandsFreeConfig mode_config = config;
+    mode_config.search = mode;
+    HandsFreeOptimizer searched(&testing::SharedEngine(), mode_config);
+    ASSERT_TRUE(searched.LoadModel(path).ok());
+    for (const Query& q : workload) {
+      auto greedy = optimizer.Optimize(q);
+      ASSERT_TRUE(greedy.ok());
+      auto via_config = searched.Optimize(q);
+      ASSERT_TRUE(via_config.ok()) << via_config.status().ToString();
+      EXPECT_LE((*via_config)->est_cost, (*greedy)->est_cost + 1e-12)
+          << q.name << " " << SearchConfigName(mode);
+      PlanNodePtr via_eval;
+      ASSERT_TRUE(optimizer
+                      .EvaluateLearnedOnEnv(env.get(), q, &ws, mode,
+                                            /*plan_repeats=*/1,
+                                            /*scratch=*/nullptr, &via_eval)
+                      .ok());
+      EXPECT_EQ((*via_config)->ToString(q), via_eval->ToString(q))
           << q.name << " " << SearchConfigName(mode);
     }
-  }
-
-  // Optimize honors config.search: a facade configured for beam produces
-  // the beam plan.
-  HandsFreeConfig beam_config = config;
-  beam_config.search = beam_4;
-  HandsFreeOptimizer beam_optimizer(&testing::SharedEngine(), beam_config);
-  const std::string path = ModelPath(
-      std::string("beamcfg_") + std::to_string(static_cast<int>(GetParam())));
-  ASSERT_TRUE(optimizer.SaveModel(path).ok());
-  ASSERT_TRUE(beam_optimizer.LoadModel(path).ok());
-  for (const Query& q : workload) {
-    auto via_config = beam_optimizer.Optimize(q);
-    auto via_explicit = optimizer.OptimizeWithSearch(q, beam_4);
-    ASSERT_TRUE(via_config.ok() && via_explicit.ok());
-    EXPECT_EQ((*via_config)->est_cost, (*via_explicit)->est_cost) << q.name;
   }
   std::remove(path.c_str());
 }

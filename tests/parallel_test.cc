@@ -3,13 +3,19 @@
 //     trainer bit-for-bit — trajectories and final network weights;
 //   * an N-worker run is deterministic for a fixed seed and worker count;
 //   * parallel demonstration collection equals the serial pass;
-//   * the facade's workload-parallel Compare equals per-query Compare.
+//   * the facade hands its worker count to the strategy backend.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/hands_free.h"
 #include "core/reward.h"
@@ -226,7 +232,11 @@ TEST(ParallelCoreTest, ParallelDemonstrationCollectionMatchesSerial) {
   }
 }
 
-TEST(ParallelCoreTest, CompareWorkloadMatchesPerQueryCompare) {
+// A facade built with num_rollout_workers = 3 trains exactly the weights
+// of a BootstrapTrainer configured for 3 workers directly (workers w >= 1
+// sample their own streams, so a 1-worker backend would diverge), and the
+// facade trained that way plans and compares, repeatably.
+TEST(ParallelCoreTest, FacadeTrainsWithItsWorkerCount) {
   Engine& engine = testing::SharedEngine();
   WorkloadGenerator gen(&engine.catalog(), 888);
   std::vector<Query> workload;
@@ -245,26 +255,41 @@ TEST(ParallelCoreTest, CompareWorkloadMatchesPerQueryCompare) {
   HandsFreeOptimizer optimizer(&engine, config);
   ASSERT_TRUE(optimizer.Train(workload).ok());
 
-  auto parallel = optimizer.CompareWorkload(workload);
-  ASSERT_TRUE(parallel.ok());
-  ASSERT_EQ(parallel->size(), workload.size());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto single = optimizer.Compare(workload[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ((*parallel)[i].learned_cost, single->learned_cost);
-    EXPECT_EQ((*parallel)[i].learned_latency_ms, single->learned_latency_ms);
-    EXPECT_EQ((*parallel)[i].expert_cost, single->expert_cost);
-    EXPECT_EQ((*parallel)[i].expert_latency_ms, single->expert_latency_ms);
-  }
+  // The same two-phase schedule Train runs, on a directly built backend.
+  RejoinFeaturizer featurizer(config.max_relations, &engine.estimator());
+  NegLogLatencyReward reward(&engine.latency(), &engine.cost_model());
+  FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
+  BootstrapConfig bootstrap = config.bootstrap;
+  bootstrap.num_rollout_workers = 3;
+  BootstrapTrainer direct(&env, &engine, bootstrap, config.seed);
+  direct.RunPhase1(workload, config.training_episodes / 2);
+  direct.SwitchToPhase2();
+  direct.RunPhase2(workload,
+                   config.training_episodes - config.training_episodes / 2);
 
-  // OptimizeWorkload plans agree with per-query Optimize.
-  auto plans = optimizer.OptimizeWorkload(workload);
-  ASSERT_TRUE(plans.ok());
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto single = optimizer.Optimize(workload[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ((*plans)[i]->ToString(workload[i]),
-              (*single)->ToString(workload[i]));
+  // SaveModel writes one header line, then the agent's weights.
+  const std::string path = ::testing::TempDir() + "hfq_parallel_facade_" +
+                           std::to_string(getpid()) + ".txt";
+  ASSERT_TRUE(optimizer.SaveModel(path).ok());
+  std::ifstream in(path);
+  std::string header;
+  std::getline(in, header);
+  std::stringstream saved;
+  saved << in.rdbuf();
+  std::remove(path.c_str());
+  std::stringstream expected;
+  ASSERT_TRUE(direct.agent().Save(expected).ok());
+  EXPECT_EQ(saved.str(), expected.str());
+
+  for (const Query& q : workload) {
+    auto first = optimizer.Optimize(q);
+    auto again = optimizer.Optimize(q);
+    ASSERT_TRUE(first.ok() && again.ok());
+    EXPECT_EQ((*first)->ToString(q), (*again)->ToString(q)) << q.name;
+    auto cmp = optimizer.Compare(q);
+    ASSERT_TRUE(cmp.ok()) << cmp.status().ToString();
+    EXPECT_EQ(cmp->learned_cost, (*first)->est_cost) << q.name;
+    EXPECT_GT(cmp->expert_cost, 0.0) << q.name;
   }
 }
 

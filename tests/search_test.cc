@@ -471,14 +471,13 @@ TEST_F(SearchTest, SearchSpecsParseAndRoundTrip) {
   auto greedy = ParseSearchSpec("greedy");
   ASSERT_TRUE(greedy.ok());
   EXPECT_EQ(greedy->mode, SearchMode::kGreedy);
-  EXPECT_TRUE(IsDefaultGreedy(*greedy));
+  EXPECT_EQ(SearchConfigName(*greedy), "greedy");
 
   auto best = ParseSearchSpec("best-of-12");
   ASSERT_TRUE(best.ok());
   EXPECT_EQ(best->mode, SearchMode::kBestOfK);
   EXPECT_EQ(best->best_of_k, 12);
   EXPECT_EQ(SearchConfigName(*best), "best-of-12");
-  EXPECT_FALSE(IsDefaultGreedy(*best));
 
   auto beam = ParseSearchSpec("beam-6");
   ASSERT_TRUE(beam.ok());

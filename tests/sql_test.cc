@@ -5,6 +5,7 @@
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "tests/test_common.h"
+#include "workload/generator.h"
 
 namespace hfq {
 namespace {
@@ -89,9 +90,8 @@ TEST_F(SqlTest, ParsesAggregatesAndGroupBy) {
   EXPECT_FALSE(q->aggregates[0].has_arg);
   EXPECT_EQ(q->aggregates[1].func, AggFunc::kMin);
   EXPECT_TRUE(q->aggregates[1].has_arg);
-  // t.kind_id appears once as a group key (select-list copy is merged by
-  // Validate-time dedup being absent — both entries name the same column).
-  ASSERT_GE(q->group_by.size(), 1u);
+  // t.kind_id is named by both the select list and GROUP BY: one key.
+  ASSERT_EQ(q->group_by.size(), 1u);
   EXPECT_EQ(q->group_by[0].column, "kind_id");
 }
 
@@ -154,6 +154,45 @@ TEST_F(SqlTest, RoundTripThroughToSql) {
   EXPECT_EQ(q2->joins.size(), q1->joins.size());
   EXPECT_EQ(q2->selections.size(), q1->selections.size());
   EXPECT_EQ(q2->aggregates.size(), q1->aggregates.size());
+}
+
+// ParseSql(q.ToSql()) is a fixed point of rendering for generated
+// queries: a GROUP BY key that the select list names too stays one key,
+// and every other clause survives the trip unchanged.
+TEST_F(SqlTest, GeneratedQueriesRoundTripThroughToSql) {
+  Engine& engine = testing::SharedEngine();
+  QueryShapeOptions grouped;
+  grouped.aggregate_prob = 1.0;
+  grouped.group_by_prob = 0.7;
+  WorkloadGenerator gen(&engine.catalog(), 515, grouped, &engine.db());
+  auto suite = gen.GenerateJobLikeSuite(/*families=*/8, /*variants=*/2,
+                                        /*min_relations=*/2,
+                                        /*max_relations=*/8);
+  ASSERT_TRUE(suite.ok()) << suite.status().ToString();
+  std::vector<Query> queries = std::move(*suite);
+  for (JoinTopology topology :
+       {JoinTopology::kChain, JoinTopology::kStar, JoinTopology::kClique,
+        JoinTopology::kSnowflake, JoinTopology::kCyclic,
+        JoinTopology::kDisconnected}) {
+    for (int n = 3; n <= 6; ++n) {
+      auto q = gen.GenerateTopologyQuery(
+          topology, n,
+          std::string("sql_rt_") + JoinTopologyName(topology) +
+              std::to_string(n));
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      queries.push_back(std::move(*q));
+    }
+  }
+  int grouped_queries = 0;
+  for (const Query& q : queries) {
+    if (!q.group_by.empty() && !q.aggregates.empty()) ++grouped_queries;
+    const std::string sql = q.ToSql();
+    auto parsed = ParseSql(sql, engine.catalog(), q.name);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\nsql: " << sql;
+    EXPECT_EQ(parsed->ToSql(), sql);
+    EXPECT_EQ(parsed->group_by.size(), q.group_by.size()) << sql;
+  }
+  EXPECT_GT(grouped_queries, 5);
 }
 
 TEST_F(SqlTest, DoubleValuedPredicates) {
