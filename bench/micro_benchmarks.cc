@@ -137,8 +137,8 @@ BENCHMARK(BM_ExpertOptimizeDp)->Arg(4)->Arg(8)->Arg(11);
 // ResourceExhausted (the GEQO-fallback trigger) — the `exhausted` counter
 // records which regime a combo landed in, `subproblems` how much of the
 // space it materialized. n <= 12 runs the historic exhaustive subset walk
-// (clique-12 is the worst case, seconds per enumeration); n > 12 runs
-// connected subgraphs only.
+// (clique-12 is the worst case, a few hundred ms per enumeration on the
+// cost-only table); n > 12 runs connected subgraphs only.
 void BM_DpEnumerate(benchmark::State& state) {
   const JoinTopology topologies[] = {JoinTopology::kChain,
                                      JoinTopology::kStar,

@@ -25,8 +25,10 @@
 # --bench-smoke additionally executes the batched-search-core benchmarks
 # (BM_PlanSearch + BM_FrontierForward), the DP plan-generator scaling
 # sweep (BM_DpEnumerate: chain/star/clique x 8/12/16/20 relations; the
-# n=12 cells walk the full historic subset space and take a few seconds
-# each by design), and the executor benches (BM_Execute*: per-operator
+# n=12 cells walk the full historic subset space, up to a few hundred ms
+# each), the expert optimizer end to end (BM_ExpertOptimizeDp: DP plus its
+# one tree build; BM_ExpertOptimizeGeqo: GEQO's plan decoder), and the
+# executor benches (BM_Execute*: per-operator
 # vectorized-vs-tuple-at-a-time A/B plus the hash-join and group-by
 # acceptance benches), mirroring CI's bench-smoke step: it proves the
 # bench targets still run, not just compile. Numbers are printed, not
@@ -116,7 +118,7 @@ if [[ "$bench_smoke" == ON ]]; then
   # Mirrors CI's bench-smoke step (local builds keep HFQ_BUILD_BENCH on
   # in every configuration, so the binary is always here).
   ./bench/bench_micro_benchmarks \
-    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_PlanServer|BM_Execute' \
+    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_ExpertOptimize|BM_PlanServer|BM_Execute' \
     --benchmark_min_time=0.01
   python3 ../perfbench/test_digest.py eval
 fi

@@ -14,8 +14,8 @@ EvalConfig::EvalConfig() {
                 JoinTopology::kCyclic,    JoinTopology::kDisconnected};
   relation_counts = {3, 5, 8};
   // The DP-infeasible band: JOB-scale join graphs. Sparse shapes (chain,
-  // snowflake) the dominance-pruned enumerator could still plan exactly,
-  // plus the dense extreme (clique); all are scored against GEQO.
+  // snowflake) the connected-subgraph DP could still plan exactly, plus
+  // the dense extreme (clique); all are scored against GEQO.
   band_topologies = {JoinTopology::kChain, JoinTopology::kSnowflake,
                      JoinTopology::kClique};
   band_relation_counts = {16};

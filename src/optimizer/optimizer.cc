@@ -85,22 +85,29 @@ PlanNodePtr TraditionalOptimizer::BestJoin(const Query& query,
       query.JoinPredsBetween(outer->rels, inner->rels);
   const double out_rows =
       cost_model_->cards()->Rows(query, outer->rels | inner->rels);
-
-  struct Candidate {
-    PhysicalOp op;
-    int probe_pred = -1;
-    IndexKind inner_index_kind = IndexKind::kBTree;
-    double cost = 0.0;
+  auto input = [](const PlanNode& node) {
+    return JoinInput{node.est_rows, node.est_cost,
+                     node.IsScan() ? node.rel_idx : -1};
   };
-  std::vector<Candidate> candidates;
+  const JoinChoice choice =
+      ChooseJoin(query, preds, out_rows, input(*outer), input(*inner));
+  return BuildJoin(query, choice, std::move(preds), out_rows,
+                   std::move(outer), std::move(inner));
+}
 
+JoinChoice TraditionalOptimizer::ChooseJoin(const Query& query,
+                                            const std::vector<int>& preds,
+                                            double out_rows,
+                                            const JoinInput& outer,
+                                            const JoinInput& inner) const {
+  JoinChoice best;
+  bool any = false;
   auto add = [&](PhysicalOp op, int probe_pred, IndexKind kind) {
-    Candidate c{op, probe_pred, kind, 0.0};
-    c.cost = cost_model_->JoinCost(
-        query, op, outer->est_rows, outer->est_cost, inner->est_rows,
-        inner->est_cost, out_rows,
+    const double cost = cost_model_->JoinCost(
+        query, op, outer.rows, outer.cost, inner.rows, inner.cost, out_rows,
         op == PhysicalOp::kIndexNestedLoopJoin);
-    candidates.push_back(c);
+    if (!any || cost < best.cost) best = JoinChoice{op, probe_pred, kind, cost};
+    any = true;
   };
 
   if (options_.enable_nestloop || preds.empty()) {
@@ -111,13 +118,13 @@ PlanNodePtr TraditionalOptimizer::BestJoin(const Query& query,
   if (!preds.empty()) {
     if (options_.enable_hashjoin) add(PhysicalOp::kHashJoin, -1, {});
     if (options_.enable_mergejoin) add(PhysicalOp::kMergeJoin, -1, {});
-    if (options_.enable_indexnestloop && inner->IsScan()) {
+    if (options_.enable_indexnestloop && inner.scan_rel >= 0) {
       const auto& inner_rel =
-          query.relations[static_cast<size_t>(inner->rel_idx)];
+          query.relations[static_cast<size_t>(inner.scan_rel)];
       for (int pi : preds) {
         const auto& jp = query.joins[static_cast<size_t>(pi)];
         const ColumnRef& inner_key =
-            RelSetHas(inner->rels, jp.left.rel_idx) ? jp.left : jp.right;
+            jp.left.rel_idx == inner.scan_rel ? jp.left : jp.right;
         for (IndexKind kind : {IndexKind::kHash, IndexKind::kBTree}) {
           if (catalog_->FindIndex(inner_rel.table, inner_key.column, kind) !=
               nullptr) {
@@ -128,42 +135,32 @@ PlanNodePtr TraditionalOptimizer::BestJoin(const Query& query,
       }
     }
   }
-  HFQ_CHECK_MSG(!candidates.empty(),
-                "all join operators disabled; cannot plan");
-  const Candidate* best = &candidates[0];
-  for (const auto& c : candidates) {
-    if (c.cost < best->cost) best = &c;
-  }
-
-  PlanNodePtr inner_child = std::move(inner);
-  if (best->op == PhysicalOp::kIndexNestedLoopJoin) {
-    // INLJ probes the inner base table directly; turn the inner into a
-    // plain filtered scan (never scanned wholesale) and remember the index.
-    std::vector<int> all_sels = inner_child->filter_sel_idxs;
-    if (inner_child->index_sel_idx >= 0) {
-      all_sels.push_back(inner_child->index_sel_idx);
-    }
-    PlanNodePtr probe_scan = MakeSeqScan(inner_child->rel_idx, all_sels);
-    probe_scan->index_kind = best->inner_index_kind;
-    cost_model_->Annotate(query, probe_scan.get());
-    inner_child = std::move(probe_scan);
-  }
-  PlanNodePtr join = MakeJoin(best->op, std::move(outer),
-                              std::move(inner_child), preds,
-                              best->probe_pred);
-  // Children are already annotated; fill this node's fields directly.
-  join->est_rows = out_rows;
-  join->est_cost = best->cost;
-  return join;
+  HFQ_CHECK_MSG(any, "all join operators disabled; cannot plan");
+  return best;
 }
 
-PlanNodePtr TraditionalOptimizer::BestJoinEitherOrientation(
-    const Query& query, PlanNodePtr a, PlanNodePtr b) {
-  PlanNodePtr a2 = a->Clone();
-  PlanNodePtr b2 = b->Clone();
-  PlanNodePtr ab = BestJoin(query, std::move(a), std::move(b));
-  PlanNodePtr ba = BestJoin(query, std::move(b2), std::move(a2));
-  return ab->est_cost <= ba->est_cost ? std::move(ab) : std::move(ba);
+PlanNodePtr TraditionalOptimizer::BuildJoin(const Query& query,
+                                            const JoinChoice& choice,
+                                            std::vector<int> preds,
+                                            double out_rows,
+                                            PlanNodePtr outer,
+                                            PlanNodePtr inner) {
+  if (choice.op == PhysicalOp::kIndexNestedLoopJoin) {
+    // INLJ probes the inner base table directly; turn the inner into a
+    // plain filtered scan (never scanned wholesale) and remember the index.
+    std::vector<int> all_sels = inner->filter_sel_idxs;
+    if (inner->index_sel_idx >= 0) all_sels.push_back(inner->index_sel_idx);
+    PlanNodePtr probe_scan = MakeSeqScan(inner->rel_idx, all_sels);
+    probe_scan->index_kind = choice.inner_index_kind;
+    cost_model_->Annotate(query, probe_scan.get());
+    inner = std::move(probe_scan);
+  }
+  PlanNodePtr join = MakeJoin(choice.op, std::move(outer), std::move(inner),
+                              std::move(preds), choice.probe_pred);
+  // Children are already annotated; fill this node's fields directly.
+  join->est_rows = out_rows;
+  join->est_cost = choice.cost;
+  return join;
 }
 
 PlanNodePtr TraditionalOptimizer::AddAggregateIfNeeded(const Query& query,

@@ -7,6 +7,10 @@
 //   * the demonstration "expert" for learning-from-demonstration (Sec 5.1),
 //   * the provider of traditional later-pipeline stages during incremental
 //     pipeline training (Sec 5.3.1).
+// Join-operator selection is one routine in two halves: ChooseJoin prices
+// every operator from the inputs' rows and costs alone, and BuildJoin turns
+// the decision into a plan node. BestJoin is the two together; DP
+// (plan_gen.h) enumerates with ChooseJoin only and builds its winner once.
 #ifndef HFQ_OPTIMIZER_OPTIMIZER_H_
 #define HFQ_OPTIMIZER_OPTIMIZER_H_
 
@@ -30,15 +34,12 @@ struct OptimizerOptions {
   /// Use exhaustive DP for queries with at most this many relations;
   /// genetic search (GEQO) beyond.
   int geqo_threshold = 12;
-  /// DP plan-generator budgets (plan_gen.h). A join graph inducing more
-  /// connected subproblems than `dp_max_subproblems` makes EnumerateDp
-  /// return ResourceExhausted and Optimize fall back to GEQO; sparse
-  /// graphs (chains/snowflakes) stay exact far past the old 3^n wall
-  /// (a 20-relation chain induces only 210 subproblems).
+  /// DP plan-generator budget (plan_gen.h). A join graph inducing more
+  /// subproblems than `dp_max_subproblems` makes EnumerateDp return
+  /// ResourceExhausted and Optimize fall back to GEQO; sparse graphs
+  /// (chains/snowflakes) stay exact far past the old 3^n wall (a
+  /// 20-relation chain induces only 210 subproblems).
   int64_t dp_max_subproblems = 20000;
-  /// Per-subproblem dominance-pruned plan-list budget; truncation is
-  /// deterministic and never evicts the cheapest plan.
-  int dp_max_plans_per_subproblem = 8;
   /// Components up to this size search the historic exhaustive subset
   /// space (clauseless-join cross products included — bit-identical plans
   /// to the pre-plan_gen enumerator); larger components enumerate
@@ -53,6 +54,21 @@ struct OptimizerOptions {
   int geqo_pool_size = 128;
   int geqo_generations = 300;
   uint64_t geqo_seed = 0x5EED5EED;
+};
+
+/// What join-operator choice reads of one annotated join input.
+struct JoinInput {
+  double rows = 0.0;
+  double cost = 0.0;
+  int scan_rel = -1;  // The scanned relation when the input is a scan.
+};
+
+/// The cheapest operator for one oriented join, without its plan node.
+struct JoinChoice {
+  PhysicalOp op = PhysicalOp::kNestedLoopJoin;
+  int probe_pred = -1;                             // INLJ only.
+  IndexKind inner_index_kind = IndexKind::kBTree;  // INLJ only.
+  double cost = 0.0;
 };
 
 /// Cost-based optimizer over a catalog + cost model.
@@ -87,14 +103,24 @@ class TraditionalOptimizer {
   /// memory; the estimator's ClearCache is the companion).
   void ClearAccessPathCache();
 
-  /// Cheapest join operator for fixed children/orientation, annotated.
-  /// The inputs must be annotated.
+  /// Cheapest join operator for fixed children/orientation, annotated:
+  /// ChooseJoin, then BuildJoin. The inputs must be annotated.
   PlanNodePtr BestJoin(const Query& query, PlanNodePtr outer,
                        PlanNodePtr inner);
 
-  /// Tries both orientations and returns the cheaper BestJoin result.
-  PlanNodePtr BestJoinEitherOrientation(const Query& query, PlanNodePtr a,
-                                        PlanNodePtr b);
+  /// The cheapest operator joining `outer` to `inner` (that orientation),
+  /// given the predicates between them and the join's output rows. Cost
+  /// ties keep the first candidate: NLJ, hash, merge, then INLJ per
+  /// predicate.
+  JoinChoice ChooseJoin(const Query& query, const std::vector<int>& preds,
+                        double out_rows, const JoinInput& outer,
+                        const JoinInput& inner) const;
+
+  /// Builds the annotated join node `choice` describes over the annotated
+  /// children it was chosen for (an INLJ inner becomes its probe scan).
+  PlanNodePtr BuildJoin(const Query& query, const JoinChoice& choice,
+                        std::vector<int> preds, double out_rows,
+                        PlanNodePtr outer, PlanNodePtr inner);
 
   /// Adds the cheaper of hash/sort aggregation when the query aggregates.
   PlanNodePtr AddAggregateIfNeeded(const Query& query, PlanNodePtr input);
@@ -115,7 +141,6 @@ class TraditionalOptimizer {
 
   Result<PlanNodePtr> EnumerateDp(const Query& query);
   Result<PlanNodePtr> EnumerateGeqo(const Query& query);
-  Result<PlanNodePtr> EnumerateGreedy(const Query& query);
 
   /// Builds a plan from a relation permutation by greedy connected
   /// attachment (Postgres gimme_tree); shared by GEQO fitness and decoding.

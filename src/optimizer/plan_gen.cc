@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "optimizer/optimizer.h"
 #include "util/check.h"
@@ -28,128 +31,23 @@ std::vector<RelSet> JoinGraphComponents(const Query& query) {
   return components;
 }
 
+Status OverBudget(int64_t max_subproblems) {
+  return Status::ResourceExhausted(
+      "join graph induces more than " + std::to_string(max_subproblems) +
+      " DP subproblems; enumeration over-budget");
+}
+
+// One DP table entry: what ChooseJoin reads of the relation set's cheapest
+// plan, and how to build that plan. A singleton is a scan of `plan.scan_rel`
+// (outer == 0); a join is `choice` over the split (outer, inner).
+struct Entry {
+  JoinInput plan;
+  RelSet outer = 0;
+  RelSet inner = 0;
+  JoinChoice choice;
+};
+
 }  // namespace
-
-bool OrderingCovers(const PlanOrdering& a, const PlanOrdering& b) {
-  if (!b.sorted) return true;
-  return a == b;
-}
-
-PlanOrdering DerivePlanOrdering(const Query& query, const PlanNode& plan) {
-  PlanOrdering ordering;
-  switch (plan.op) {
-    case PhysicalOp::kIndexScan:
-      if (plan.index_kind == IndexKind::kBTree) {
-        ordering.sorted = true;
-        ordering.rel_idx = plan.rel_idx;
-        ordering.column = plan.index_column;
-      }
-      break;
-    case PhysicalOp::kMergeJoin: {
-      // Sort-merge leaves the output ordered on the (outer-side) key of
-      // the predicate it merged on.
-      if (plan.join_pred_idxs.empty() || plan.children.empty()) break;
-      const JoinPredicate& jp =
-          query.joins[static_cast<size_t>(plan.join_pred_idxs[0])];
-      const PlanNode* outer = plan.child(0);
-      const ColumnRef& key =
-          RelSetHas(outer->rels, jp.left.rel_idx) ? jp.left : jp.right;
-      ordering.sorted = true;
-      ordering.rel_idx = key.rel_idx;
-      ordering.column = key.column;
-      break;
-    }
-    default:
-      break;
-  }
-  return ordering;
-}
-
-bool Subproblem::AddPlan(PlanNodePtr plan, PlanOrdering ordering,
-                         int max_plans, PlanGenStats* stats) {
-  HFQ_CHECK(plan != nullptr);
-  if (max_plans < 1) max_plans = 1;
-  if (stats != nullptr) stats->candidates++;
-  const int64_t old_size = static_cast<int64_t>(plans.size());
-  const double cost = plan->est_cost;
-
-  // Rejection: some retained plan costs no more and its ordering covers the
-  // newcomer's — the newcomer can never beat it for any consumer. Cost ties
-  // resolve in favour of the incumbent, which keeps the cheapest-plan
-  // choice identical to the historic strict-< DP replacement rule.
-  for (const SubPlan& e : plans) {
-    if (e.plan->est_cost <= cost && OrderingCovers(e.ordering, ordering)) {
-      if (stats != nullptr) {
-        stats->plans_dominated++;
-      }
-      return false;
-    }
-  }
-
-  // Eviction: retained plans that cost strictly more under an ordering the
-  // newcomer covers are now dominated. (Strictly: a cost tie keeps both, so
-  // an equal-cost plan can never displace an earlier-accepted one.)
-  for (size_t i = plans.size(); i-- > 0;) {
-    if (plans[i].plan->est_cost > cost &&
-        OrderingCovers(ordering, plans[i].ordering)) {
-      plans.erase(plans.begin() + static_cast<ptrdiff_t>(i));
-      if (stats != nullptr) stats->plans_dominated++;
-    }
-  }
-  plans.push_back(SubPlan{std::move(plan), ordering});
-
-  // Cheapest = lowest-index minimum. Acceptance rejects newcomers tied with
-  // an incumbent of covering ordering and eviction only removes strictly
-  // costlier plans, so the lowest-index minimum is always the *first*
-  // accepted plan of minimum cost — the same plan sequential strict-<
-  // tracking would keep.
-  auto recompute_cheapest = [this]() {
-    cheapest = 0;
-    for (size_t i = 1; i < plans.size(); ++i) {
-      if (plans[i].plan->est_cost <
-          plans[static_cast<size_t>(cheapest)].plan->est_cost) {
-        cheapest = static_cast<int>(i);
-      }
-    }
-  };
-  recompute_cheapest();
-
-  // Budget truncation: evict the costliest non-cheapest plan (ties: the
-  // newest), deterministically, until within budget. The cheapest plan is
-  // never evicted, so any budget >= 1 preserves exactness of the cheapest
-  // cost.
-  int newcomer = static_cast<int>(plans.size()) - 1;
-  while (static_cast<int>(plans.size()) > max_plans) {
-    int victim = -1;
-    for (size_t i = 0; i < plans.size(); ++i) {
-      if (static_cast<int>(i) == cheapest) continue;
-      if (victim < 0 ||
-          plans[i].plan->est_cost >=
-              plans[static_cast<size_t>(victim)].plan->est_cost) {
-        victim = static_cast<int>(i);
-      }
-    }
-    HFQ_CHECK(victim >= 0);
-    plans.erase(plans.begin() + victim);
-    if (victim < cheapest) cheapest--;
-    if (victim == newcomer) {
-      newcomer = -1;
-    } else if (newcomer >= 0 && victim < newcomer) {
-      newcomer--;
-    }
-    if (stats != nullptr) stats->plans_truncated++;
-  }
-  if (stats != nullptr) {
-    stats->plans_kept += static_cast<int64_t>(plans.size()) - old_size;
-  }
-  return newcomer >= 0;
-}
-
-const PlanNode* Subproblem::CheapestPlan() const {
-  HFQ_CHECK(cheapest >= 0 &&
-            cheapest < static_cast<int>(plans.size()));
-  return plans[static_cast<size_t>(cheapest)].plan.get();
-}
 
 PlanGenerator::PlanGenerator(TraditionalOptimizer* optimizer,
                              const Query& query, PlanGenOptions options)
@@ -157,73 +55,36 @@ PlanGenerator::PlanGenerator(TraditionalOptimizer* optimizer,
   HFQ_CHECK(optimizer != nullptr);
 }
 
-Result<std::vector<RelSet>> PlanGenerator::ConnectedSubsets(
-    const Query& query, int64_t max_subproblems) {
-  const int n = query.num_relations();
-  // Every connected subset of size k+1 is a connected subset of size k plus
-  // one neighbor, so growing from singletons with a dedup set enumerates
-  // each connected subset exactly once — 2^n never appears for sparse
-  // graphs (a 20-relation chain has 210 connected subsets). The budget
-  // check runs during growth: a graph denser than the budget is rejected
-  // before any planning work happens.
-  std::unordered_set<RelSet> seen;
-  std::vector<RelSet> pending;
-  seen.reserve(64);
-  for (int rel = 0; rel < n; ++rel) {
-    seen.insert(RelSetOf(rel));
-    pending.push_back(RelSetOf(rel));
-  }
-  if (static_cast<int64_t>(seen.size()) > max_subproblems) {
-    return Status::ResourceExhausted(
-        "join graph exceeds the DP subproblem budget");
-  }
-  while (!pending.empty()) {
-    RelSet s = pending.back();
-    pending.pop_back();
-    RelSet nb = query.NeighborsOfSet(s);
-    while (nb != 0) {
-      int rel = std::countr_zero(nb);
-      nb &= nb - 1;
-      RelSet grown = s | RelSetOf(rel);
-      if (!seen.insert(grown).second) continue;
-      pending.push_back(grown);
-      if (static_cast<int64_t>(seen.size()) > max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(max_subproblems) +
-            " connected subproblems; DP enumeration over-budget");
-      }
-    }
-  }
-  std::vector<RelSet> out(seen.begin(), seen.end());
-  // Ascending mask order visits every subset before any of its supersets,
-  // which is all the DP below needs.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
   const int n = query_.num_relations();
   HFQ_CHECK(n >= 2);
   const std::vector<RelSet> components = JoinGraphComponents(query_);
+  const int k = static_cast<int>(components.size());
 
   // Subproblem universe, per component: small components get the full
   // historic subset space (bit-identical plans to the pre-plan_gen
   // enumerator, clauseless-join cross products included); large components
   // get connected subgraphs only (scalable on sparse graphs; see
-  // PlanGenOptions::exhaustive_relations).
+  // PlanGenOptions::exhaustive_relations). Every connected subset of size
+  // m+1 is a connected subset of size m plus one neighbor, so growing from
+  // singletons with a dedup set enumerates each exactly once — 2^n never
+  // appears for sparse graphs. The cross-combination of k >= 2 components
+  // charges its 2^k - 1 states up front. The budget is checked during
+  // growth, so a graph denser than the budget is rejected before any
+  // planning work happens.
+  const int64_t combination_states = k >= 2 ? (int64_t{1} << k) - 1 : 0;
   std::unordered_set<RelSet> seen;
+  auto over_budget = [&](int64_t more) {
+    return combination_states + static_cast<int64_t>(seen.size()) + more >
+           options_.max_subproblems;
+  };
+  if (over_budget(0)) return OverBudget(options_.max_subproblems);
   std::vector<RelSet> pending;
   for (RelSet comp : components) {
     const int comp_size = RelSetCount(comp);
     if (comp_size <= options_.exhaustive_relations) {
-      const int64_t comp_subsets = (int64_t{1} << comp_size) - 1;
-      if (comp_subsets + static_cast<int64_t>(seen.size()) >
-          options_.max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(options_.max_subproblems) +
-            " DP subproblems; enumeration over-budget");
+      if (over_budget((int64_t{1} << comp_size) - 1)) {
+        return OverBudget(options_.max_subproblems);
       }
       for (RelSet sub = comp; sub != 0; sub = (sub - 1) & comp) {
         seen.insert(sub);
@@ -233,12 +94,7 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
         seen.insert(RelSetOf(rel));
         pending.push_back(RelSetOf(rel));
       }
-      if (static_cast<int64_t>(seen.size()) > options_.max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(options_.max_subproblems) +
-            " DP subproblems; enumeration over-budget");
-      }
+      if (over_budget(0)) return OverBudget(options_.max_subproblems);
     }
   }
   while (!pending.empty()) {
@@ -251,12 +107,7 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
       RelSet grown = s | RelSetOf(rel);
       if (!seen.insert(grown).second) continue;
       pending.push_back(grown);
-      if (static_cast<int64_t>(seen.size()) > options_.max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(options_.max_subproblems) +
-            " connected subproblems; DP enumeration over-budget");
-      }
+      if (over_budget(0)) return OverBudget(options_.max_subproblems);
     }
   }
   std::vector<RelSet> subsets(seen.begin(), seen.end());
@@ -264,109 +115,119 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
   // which is all the DP needs.
   std::sort(subsets.begin(), subsets.end());
 
-  table_.clear();
-  table_.reserve(subsets.size());
   stats_ = PlanGenStats();
   stats_.subproblems = static_cast<int64_t>(subsets.size());
 
+  std::unordered_map<RelSet, Entry> table;
+  table.reserve(subsets.size() + static_cast<size_t>(combination_states));
+  std::vector<PlanNodePtr> scans(static_cast<size_t>(n));
+  CardinalitySource* cards = optimizer_->cost_model()->cards();
+
+  // Offers the join of `outer` to `inner` to `into`. The entry changes only
+  // on a strictly lower cost, so a tie keeps the first plan offered — with
+  // splits walked in the historic DPsize order (descending submasks,
+  // unordered pairs, outer-then-swapped), the plan the pre-plan_gen
+  // enumerator chose.
+  auto offer = [&](Entry* into, const std::vector<int>& preds,
+                   RelSet outer_set, const Entry& outer, RelSet inner_set,
+                   const Entry& inner) {
+    const JoinChoice choice = optimizer_->ChooseJoin(
+        query_, preds, into->plan.rows, outer.plan, inner.plan);
+    if (into->outer != 0 && !(choice.cost < into->plan.cost)) return;
+    into->plan.cost = choice.cost;
+    into->outer = outer_set;
+    into->inner = inner_set;
+    into->choice = choice;
+  };
+
   for (RelSet s : subsets) {
-    Subproblem sp;
+    Entry entry;
     if (RelSetCount(s) == 1) {
-      PlanNodePtr scan =
-          optimizer_->BestAccessPath(query_, std::countr_zero(s));
-      PlanOrdering ordering = DerivePlanOrdering(query_, *scan);
-      sp.AddPlan(std::move(scan), ordering,
-                 options_.max_plans_per_subproblem, &stats_);
-      table_.emplace(s, std::move(sp));
+      const int rel = std::countr_zero(s);
+      PlanNodePtr& scan = scans[static_cast<size_t>(rel)];
+      scan = optimizer_->BestAccessPath(query_, rel);
+      entry.plan = JoinInput{scan->est_rows, scan->est_cost, rel};
+      table.emplace(s, entry);
       continue;
     }
-    // Split walk in the historic DPsize order (descending submask walk,
-    // unordered pairs, outer-then-swapped candidates) so cost ties resolve
-    // to the same plan the pre-plan_gen enumerator chose.
-    auto consider = [&](RelSet s1, RelSet s2) {
-      auto it1 = table_.find(s1);
-      if (it1 == table_.end()) return;  // Not a materialized subproblem.
-      auto it2 = table_.find(s2);
-      if (it2 == table_.end()) return;
-      const PlanNode* p1 = it1->second.CheapestPlan();
-      const PlanNode* p2 = it2->second.CheapestPlan();
-      PlanNodePtr ab = optimizer_->BestJoin(query_, p1->Clone(), p2->Clone());
-      PlanOrdering ab_ord = DerivePlanOrdering(query_, *ab);
-      sp.AddPlan(std::move(ab), ab_ord, options_.max_plans_per_subproblem,
-                 &stats_);
-      PlanNodePtr ba = optimizer_->BestJoin(query_, p2->Clone(), p1->Clone());
-      PlanOrdering ba_ord = DerivePlanOrdering(query_, *ba);
-      sp.AddPlan(std::move(ba), ba_ord, options_.max_plans_per_subproblem,
-                 &stats_);
-    };
-    // First pass: only splits connected by at least one join predicate.
-    // Table lookups run before the predicate scan: on sparse graphs most
-    // submasks are not materialized subproblems, and the O(1) misses keep
-    // the 2^|s| walk from paying O(#joins) per iteration.
-    for (RelSet s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
-      RelSet s2 = s & ~s1;
-      if (s1 > s2) continue;  // Unordered pairs; orientations in consider.
-      if (table_.find(s1) == table_.end() ||
-          table_.find(s2) == table_.end()) {
-        continue;
-      }
-      if (query_.JoinPredsBetween(s1, s2).empty()) continue;
-      consider(s1, s2);
-    }
-    // Second pass (only when no predicate-connected split produced a
-    // plan): cross products, so the internally-disconnected subsets of the
-    // exhaustive regime still plan. Connected subproblems never get here —
-    // a connected set of size >= 2 always has a predicate-connected split
-    // into two connected parts (drop one spanning-tree edge), both already
-    // in the table by ascending mask order.
-    if (sp.plans.empty()) {
+    entry.plan.rows = cards->Rows(query_, s);
+    // Pass 0 takes only splits connected by at least one join predicate.
+    // Its table lookups run before the predicate scan: on sparse graphs
+    // most submasks are not materialized subproblems, and the O(1) misses
+    // keep the 2^|s| walk from paying O(#joins) per iteration. Pass 1 runs
+    // only when pass 0 found no split: cross products, so the
+    // internally-disconnected subsets of the exhaustive regime still plan.
+    // Connected subproblems never get there — a connected set of size >= 2
+    // always has a predicate-connected split into two connected parts (drop
+    // one spanning-tree edge), both already in the table by ascending mask
+    // order.
+    for (int pass = 0; pass < 2 && entry.outer == 0; ++pass) {
       for (RelSet s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
-        RelSet s2 = s & ~s1;
-        if (s1 > s2) continue;
-        consider(s1, s2);
+        const RelSet s2 = s & ~s1;
+        if (s1 > s2) continue;  // Unordered pairs; orientations in offer.
+        auto it1 = table.find(s1);
+        if (it1 == table.end()) continue;  // Not a materialized subproblem.
+        auto it2 = table.find(s2);
+        if (it2 == table.end()) continue;
+        const std::vector<int> preds = query_.JoinPredsBetween(s1, s2);
+        if (pass == 0 && preds.empty()) continue;
+        offer(&entry, preds, s1, it1->second, s2, it2->second);
+        offer(&entry, preds, s2, it2->second, s1, it1->second);
       }
     }
-    HFQ_CHECK_MSG(!sp.plans.empty(),
-                  "DP subproblem admitted no usable split");
-    table_.emplace(s, std::move(sp));
+    HFQ_CHECK_MSG(entry.outer != 0, "DP subproblem admitted no usable split");
+    table.emplace(s, entry);
   }
 
-  auto take_cheapest = [this](RelSet s) -> PlanNodePtr {
-    auto it = table_.find(s);
-    HFQ_CHECK(it != table_.end());
-    Subproblem& sp = it->second;
-    return std::move(sp.plans[static_cast<size_t>(sp.cheapest)].plan);
+  if (k >= 2) {
+    // Cross-combination DP over the component plans: every component's
+    // output cardinality is fixed by the cardinality model (it depends on
+    // the relation set, not the plan), so component-optimal subplans are
+    // globally optimal and only the cross-join shape remains to optimize.
+    // States are walked as masks over component indices (the historic
+    // order) and kept in the same table under the union of their
+    // components; components share no predicate.
+    auto union_of = [&components](uint64_t mask) {
+      RelSet rels = 0;
+      for (; mask != 0; mask &= mask - 1) {
+        rels |= components[static_cast<size_t>(std::countr_zero(mask))];
+      }
+      return rels;
+    };
+    const std::vector<int> no_preds;
+    const uint64_t full = (uint64_t{1} << k) - 1;
+    for (uint64_t m = 1; m <= full; ++m) {
+      if (std::popcount(m) < 2) continue;
+      const RelSet s = union_of(m);
+      Entry entry;
+      entry.plan.rows = cards->Rows(query_, s);
+      for (uint64_t m1 = (m - 1) & m; m1 != 0; m1 = (m1 - 1) & m) {
+        const uint64_t m2 = m & ~m1;
+        if (m1 > m2) continue;
+        const RelSet s1 = union_of(m1);
+        const RelSet s2 = s & ~s1;
+        const Entry& e1 = table.at(s1);
+        const Entry& e2 = table.at(s2);
+        offer(&entry, no_preds, s1, e1, s2, e2);
+        offer(&entry, no_preds, s2, e2, s1, e1);
+      }
+      table.emplace(s, entry);
+    }
+  }
+
+  // The one tree build: children first, each scan moved in exactly once.
+  auto build = [&](auto& self, RelSet s) -> PlanNodePtr {
+    const Entry& entry = table.at(s);
+    if (entry.outer == 0) {
+      return std::move(scans[static_cast<size_t>(entry.plan.scan_rel)]);
+    }
+    PlanNodePtr outer = self(self, entry.outer);
+    PlanNodePtr inner = self(self, entry.inner);
+    return optimizer_->BuildJoin(
+        query_, entry.choice, query_.JoinPredsBetween(entry.outer, entry.inner),
+        entry.plan.rows, std::move(outer), std::move(inner));
   };
-  if (components.size() == 1) {
-    return take_cheapest(RelSetAll(n));
-  }
-
-  // Cross-combination DP over the component plans: every component's
-  // output cardinality is fixed by the cardinality model (it depends on
-  // the relation set, not the plan), so component-optimal subplans are
-  // globally optimal and only the cross-join shape remains to optimize.
-  const int k = static_cast<int>(components.size());
-  HFQ_CHECK(k <= 20);  // 2^k combination states; queries are far smaller.
-  std::vector<PlanNodePtr> comp_best(static_cast<size_t>(1) << k);
-  for (int c = 0; c < k; ++c) {
-    comp_best[static_cast<size_t>(1) << c] =
-        take_cheapest(components[static_cast<size_t>(c)]);
-  }
-  const uint32_t full = (static_cast<uint32_t>(1) << k) - 1;
-  for (uint32_t m = 1; m <= full; ++m) {
-    if (std::popcount(m) < 2) continue;
-    PlanNodePtr& slot = comp_best[m];
-    for (uint32_t m1 = (m - 1) & m; m1 != 0; m1 = (m1 - 1) & m) {
-      uint32_t m2 = m & ~m1;
-      if (m1 > m2) continue;
-      PlanNodePtr candidate = optimizer_->BestJoinEitherOrientation(
-          query_, comp_best[m1]->Clone(), comp_best[m2]->Clone());
-      if (slot == nullptr || candidate->est_cost < slot->est_cost) {
-        slot = std::move(candidate);
-      }
-    }
-  }
-  return std::move(comp_best[full]);
+  return build(build, RelSetAll(n));
 }
 
 }  // namespace hfq

@@ -1,72 +1,37 @@
-// The shared plan-generator core behind exhaustive join enumeration:
-// RDF-3X-style per-subproblem plan lists (PlanGen::addPlan) with dominance
-// pruning over (cost, output ordering), connected-subgraph enumeration that
-// never materializes cross products unless the join graph forces them
-// (disconnected queries cross-combine whole components, nothing finer), and
-// explicit budgets so an infeasibly dense plan space degrades into a
-// ResourceExhausted error instead of an open-ended enumeration.
+// The shared plan-generator core behind exhaustive join enumeration: a
+// cost-only DP table with one entry per relation set, connected-subgraph
+// enumeration that never materializes cross products unless the join graph
+// forces them (disconnected queries cross-combine whole components, nothing
+// finer), and an explicit budget so an infeasibly dense plan space degrades
+// into a ResourceExhausted error instead of an open-ended enumeration.
 //
 // With the current cost model, join cost is monotone in child cost and
-// insensitive to input orderings (merge join always sorts), so propagating
-// only the cheapest plan per subproblem is exact; the per-subproblem lists
-// retain ordering-diverse alternatives (dominance-pruned) for operators
-// that produce sorted output, which is where interesting-order support
-// plugs in when the cost model learns to exploit it.
+// insensitive to input orderings (merge join always sorts), so keeping only
+// the cheapest plan per relation set is exact. An entry holds what the
+// operator choice reads of a subplan (rows, cost, the scanned relation of a
+// singleton) and how the subplan was made (the split and the operator
+// decision); the winning tree is built once, after the enumeration.
 #ifndef HFQ_OPTIMIZER_PLAN_GEN_H_
 #define HFQ_OPTIMIZER_PLAN_GEN_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "plan/physical_plan.h"
 #include "plan/query.h"
-#include "plan/relset.h"
 #include "util/status.h"
 
 namespace hfq {
 
 class TraditionalOptimizer;
 
-/// The physical output property a plan guarantees: either unsorted, or
-/// sorted on one column of one relation (what a B-tree index scan or a
-/// sort-merge join produces).
-struct PlanOrdering {
-  bool sorted = false;
-  int rel_idx = -1;     // Relation owning the sort column (when sorted).
-  std::string column;   // Sort column name (when sorted).
-
-  bool operator==(const PlanOrdering& other) const {
-    if (sorted != other.sorted) return false;
-    if (!sorted) return true;
-    return rel_idx == other.rel_idx && column == other.column;
-  }
-  bool operator!=(const PlanOrdering& other) const {
-    return !(*this == other);
-  }
-};
-
-/// True when a plan with ordering `a` can serve every consumer a plan with
-/// ordering `b` could: any ordering covers "unsorted"; a sort order covers
-/// only itself.
-bool OrderingCovers(const PlanOrdering& a, const PlanOrdering& b);
-
-/// Derives the output ordering of an annotated plan node: B-tree index
-/// scans are sorted on the index column, merge joins on the (outer-side)
-/// key of their first join predicate, everything else is unsorted.
-PlanOrdering DerivePlanOrdering(const Query& query, const PlanNode& plan);
-
 /// Budgets for the plan generator. A query whose join graph induces more
-/// connected subproblems than `max_subproblems` is not exhaustively
-/// plannable at this budget: FindCheapestJoinPlan returns
-/// ResourceExhausted (callers fall back to GEQO). `max_plans_per_subproblem`
-/// bounds each dominance-pruned plan list; truncation is deterministic and
-/// never evicts a subproblem's cheapest plan, so enumeration stays exact
-/// w.r.t. cheapest cost at any list budget >= 1.
+/// DP subproblems than `max_subproblems` — the subsets of its components
+/// plus, when it has k >= 2 components, the 2^k - 1 cross-combination
+/// states — is not exhaustively plannable at this budget:
+/// FindCheapestJoinPlan returns ResourceExhausted (callers fall back to
+/// GEQO).
 struct PlanGenOptions {
   int64_t max_subproblems = 20000;
-  int max_plans_per_subproblem = 8;
   /// Components with at most this many relations enumerate the historic
   /// DPsize subset space: *every* within-component subset, including
   /// internally-disconnected ones, which get cross-product plans when no
@@ -84,43 +49,12 @@ struct PlanGenOptions {
 
 /// Counters describing one enumeration run.
 struct PlanGenStats {
-  int64_t subproblems = 0;        // Connected subproblems materialized.
-  int64_t candidates = 0;         // Plans offered to AddPlan.
-  int64_t plans_kept = 0;         // Currently retained across all lists.
-  int64_t plans_dominated = 0;    // Rejected or evicted by dominance.
-  int64_t plans_truncated = 0;    // Evicted by the per-list budget.
-};
-
-/// One plan retained for a subproblem, with its derived output ordering.
-struct SubPlan {
-  PlanNodePtr plan;
-  PlanOrdering ordering;
-};
-
-/// A RelSet-keyed DP entry: the dominance-pruned list of plans that join
-/// exactly this relation set. Exposed (rather than an implementation
-/// detail) so AddPlan's pruning rules are unit-testable in isolation.
-struct Subproblem {
-  std::vector<SubPlan> plans;  // Insertion order; pruned + budgeted.
-  int cheapest = -1;           // Index of the cheapest plan (ties: oldest).
-
-  /// RDF-3X addPlan: rejects `plan` if an existing plan with covering
-  /// ordering costs no more; evicts existing plans that cost strictly more
-  /// than `plan` under a covering ordering; keeps cost-tied plans with
-  /// incomparable orderings. When the list exceeds `max_plans`, evicts the
-  /// costliest non-cheapest plan (ties: newest), so truncation is
-  /// deterministic and the cheapest plan always survives. Returns true if
-  /// `plan` was retained. `stats` may be null.
-  bool AddPlan(PlanNodePtr plan, PlanOrdering ordering, int max_plans,
-               PlanGenStats* stats);
-
-  /// The cheapest retained plan (never null once a plan was added).
-  const PlanNode* CheapestPlan() const;
+  int64_t subproblems = 0;  // Within-component subproblems materialized.
 };
 
 /// Exhaustive-within-budget join enumeration over a query's connected
 /// subgraphs. Operator and orientation choice delegate to the optimizer's
-/// BestJoin, so the cheapest plan is bit-identical to the historic
+/// ChooseJoin, so the cheapest plan is bit-identical to the historic
 /// System-R DPsize enumerator wherever both are feasible.
 class PlanGenerator {
  public:
@@ -128,26 +62,19 @@ class PlanGenerator {
   PlanGenerator(TraditionalOptimizer* optimizer, const Query& query,
                 PlanGenOptions options = PlanGenOptions());
 
-  /// Runs the enumeration and returns (a clone-free move of) the cheapest
-  /// plan joining all relations, or ResourceExhausted when the join graph
-  /// induces more connected subproblems than the budget allows.
-  /// The query must have at least 2 relations.
+  /// Runs the enumeration and builds the cheapest plan joining all
+  /// relations, or returns ResourceExhausted when the join graph induces
+  /// more subproblems than the budget allows. The query must have at least
+  /// 2 relations.
   Result<PlanNodePtr> FindCheapestJoinPlan();
 
   const PlanGenStats& stats() const { return stats_; }
-
-  /// All connected subsets of the query's join graph, ascending by mask
-  /// value, stopping early (returning ResourceExhausted) as soon as more
-  /// than `max_subproblems` exist. Exposed for tests and benchmarks.
-  static Result<std::vector<RelSet>> ConnectedSubsets(
-      const Query& query, int64_t max_subproblems);
 
  private:
   TraditionalOptimizer* optimizer_;
   const Query& query_;
   PlanGenOptions options_;
   PlanGenStats stats_;
-  std::unordered_map<RelSet, Subproblem> table_;
 };
 
 }  // namespace hfq

@@ -1,11 +1,11 @@
 // Tests for the shared plan-generator core (src/optimizer/plan_gen.{h,cc}):
-// AddPlan dominance-pruning rules in isolation, connected-subgraph
-// enumeration counts and budgets, the property that the dominance-pruned
-// generator's cheapest cost equals an in-test old-semantics exhaustive
-// DPsize reference across every topology at <= 10 relations and at any
-// plan-list budget, and large-join behavior (sparse graphs plan exactly
-// where the old 3^n enumerator was infeasible; dense graphs degrade to a
-// clean ResourceExhausted / GEQO fallback).
+// subproblem counts and budgets of connected-subgraph enumeration, the
+// property that the cost-only DP table builds exactly the plan of an
+// in-test exhaustive DPsize reference across every topology at <= 10
+// relations, and large-join behavior (sparse graphs plan exactly where the
+// old 3^n enumerator was infeasible; dense graphs and queries with many
+// join-graph components degrade to a clean ResourceExhausted / GEQO
+// fallback).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,109 +23,6 @@
 namespace hfq {
 namespace {
 
-// --- AddPlan dominance rules -------------------------------------------
-
-PlanNodePtr FakePlan(double cost) {
-  PlanNodePtr plan = MakeSeqScan(0, {});
-  plan->est_cost = cost;
-  return plan;
-}
-
-PlanOrdering Unsorted() { return PlanOrdering{}; }
-
-PlanOrdering SortedOn(const std::string& column) {
-  PlanOrdering ordering;
-  ordering.sorted = true;
-  ordering.rel_idx = 0;
-  ordering.column = column;
-  return ordering;
-}
-
-double CostAt(const Subproblem& sp, size_t i) {
-  return sp.plans[i].plan->est_cost;
-}
-
-TEST(AddPlanTest, DominatedNewcomerDropped) {
-  Subproblem sp;
-  PlanGenStats stats;
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, &stats));
-  // Same ordering, higher cost: dominated.
-  EXPECT_FALSE(sp.AddPlan(FakePlan(12.0), Unsorted(), 8, &stats));
-  // Equal cost, same ordering: the incumbent wins the tie (historic
-  // strict-< replacement rule).
-  EXPECT_FALSE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, &stats));
-  ASSERT_EQ(sp.plans.size(), 1u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(stats.plans_dominated, 2);
-}
-
-TEST(AddPlanTest, CheaperNewcomerEvictsDominated) {
-  Subproblem sp;
-  EXPECT_TRUE(sp.AddPlan(FakePlan(12.0), Unsorted(), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, nullptr));
-  ASSERT_EQ(sp.plans.size(), 1u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(sp.CheapestPlan()->est_cost, 10.0);
-}
-
-TEST(AddPlanTest, IncomparableOrderingsKept) {
-  Subproblem sp;
-  // A costlier plan with a sort order an unsorted plan cannot provide
-  // survives; so do equal-cost plans with different orderings.
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(12.0), SortedOn("a"), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(12.0), SortedOn("b"), 8, nullptr));
-  EXPECT_EQ(sp.plans.size(), 3u);
-  EXPECT_EQ(sp.CheapestPlan()->est_cost, 10.0);
-}
-
-TEST(AddPlanTest, SortedCoversUnsorted) {
-  Subproblem sp;
-  // A sorted plan serves unsorted consumers too: a costlier unsorted
-  // newcomer is dominated, and a cheaper unsorted newcomer evicts a
-  // costlier sorted incumbent only if... it does not: the sorted
-  // incumbent offers an ordering the newcomer lacks.
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), SortedOn("a"), 8, nullptr));
-  EXPECT_FALSE(sp.AddPlan(FakePlan(12.0), Unsorted(), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(5.0), Unsorted(), 8, nullptr));
-  EXPECT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(sp.CheapestPlan()->est_cost, 5.0);
-}
-
-TEST(AddPlanTest, BudgetTruncationIsDeterministicAndSparesCheapest) {
-  Subproblem sp;
-  PlanGenStats stats;
-  // Distinct sort columns: pairwise incomparable, so only the budget can
-  // evict. Budget 2: the costliest non-cheapest plan goes, ties evict the
-  // newest.
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), SortedOn("a"), 2, &stats));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(20.0), SortedOn("b"), 2, &stats));
-  // 30 enters, is itself the costliest: evicted immediately.
-  EXPECT_FALSE(sp.AddPlan(FakePlan(30.0), SortedOn("c"), 2, &stats));
-  ASSERT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(CostAt(sp, 1), 20.0);
-  // 15 enters and displaces the 20 (costliest non-cheapest).
-  EXPECT_TRUE(sp.AddPlan(FakePlan(15.0), SortedOn("d"), 2, &stats));
-  ASSERT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(CostAt(sp, 1), 15.0);
-  // Cost tie among evictees: the newest goes (the incoming 15-sorted-e).
-  EXPECT_FALSE(sp.AddPlan(FakePlan(15.0), SortedOn("e"), 2, &stats));
-  ASSERT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(CostAt(sp, 1), 15.0);
-  EXPECT_EQ(stats.plans_truncated, 3);  // The 30, the 20, the tied 15.
-  // The cheapest plan survives any budget, even 1.
-  Subproblem tight;
-  EXPECT_TRUE(tight.AddPlan(FakePlan(50.0), SortedOn("a"), 1, nullptr));
-  EXPECT_TRUE(tight.AddPlan(FakePlan(40.0), SortedOn("b"), 1, nullptr));
-  EXPECT_FALSE(tight.AddPlan(FakePlan(45.0), SortedOn("c"), 1, nullptr));
-  ASSERT_EQ(tight.plans.size(), 1u);
-  EXPECT_EQ(tight.CheapestPlan()->est_cost, 40.0);
-}
-
-// --- Connected-subgraph enumeration ------------------------------------
-
 class PlanGenTest : public ::testing::Test {
  protected:
   Engine& engine() { return testing::SharedEngine(); }
@@ -142,35 +39,53 @@ class PlanGenTest : public ::testing::Test {
   }
 };
 
-TEST_F(PlanGenTest, ConnectedSubsetCountsMatchClosedForms) {
+TEST_F(PlanGenTest, ConnectedSubproblemCountsMatchClosedForms) {
+  // Above the exhaustive cut-off (12 relations) only connected subsets are
+  // subproblems. Star on n: the n singletons plus every subset containing
+  // the hub (2^(n-1) including the hub alone) minus the double-counted hub
+  // singleton — 2^12 + 12 at n = 13.
+  Query star = TopologyQuery(JoinTopology::kStar, 13, 12);
+  PlanGenerator star_gen(&expert(), star);
+  auto star_plan = star_gen.FindCheapestJoinPlan();
+  ASSERT_TRUE(star_plan.ok()) << star_plan.status().ToString();
+  EXPECT_EQ(star_gen.stats().subproblems, 4108);
+  EXPECT_EQ((*star_plan)->rels, RelSetAll(13));
   // Path graph on n vertices: n*(n+1)/2 connected subsets (contiguous
-  // runs). Star on n: the n singletons plus every subset containing the
-  // hub (2^(n-1) including the hub alone) minus the double-counted hub
-  // singleton.
+  // runs), once the cut-off is below n; every subset at or above it.
   Query chain = TopologyQuery(JoinTopology::kChain, 6, 11);
-  auto chain_subsets = PlanGenerator::ConnectedSubsets(chain, 100000);
-  ASSERT_TRUE(chain_subsets.ok());
-  EXPECT_EQ(chain_subsets->size(), 21u);
-  Query star = TopologyQuery(JoinTopology::kStar, 6, 12);
-  auto star_subsets = PlanGenerator::ConnectedSubsets(star, 100000);
-  ASSERT_TRUE(star_subsets.ok());
-  EXPECT_EQ(star_subsets->size(), 37u);
-  // Sorted ascending: every subset appears after all of its subsets.
-  for (size_t i = 1; i < chain_subsets->size(); ++i) {
-    EXPECT_LT((*chain_subsets)[i - 1], (*chain_subsets)[i]);
-  }
+  PlanGenOptions connected_only;
+  connected_only.exhaustive_relations = 5;
+  PlanGenerator chain_gen(&expert(), chain, connected_only);
+  ASSERT_TRUE(chain_gen.FindCheapestJoinPlan().ok());
+  EXPECT_EQ(chain_gen.stats().subproblems, 21);
+  PlanGenerator exhaustive_gen(&expert(), chain);
+  ASSERT_TRUE(exhaustive_gen.FindCheapestJoinPlan().ok());
+  EXPECT_EQ(exhaustive_gen.stats().subproblems, 63);
 }
 
-TEST_F(PlanGenTest, ConnectedSubsetsHonorsBudget) {
-  Query clique = TopologyQuery(JoinTopology::kClique, 10, 13);
-  // A 10-clique has 2^10 - 11 + 10... more than 30 connected subsets in
-  // any case; a budget of 30 must trip.
-  auto subsets = PlanGenerator::ConnectedSubsets(clique, 30);
-  ASSERT_FALSE(subsets.ok());
-  EXPECT_EQ(subsets.status().code(), StatusCode::kResourceExhausted);
+TEST_F(PlanGenTest, ConnectedSubproblemsHonorBudget) {
+  // A 13-clique has 2^13 - 1 connected subsets; the growth loop must stop
+  // at a budget of 30.
+  Query clique = TopologyQuery(JoinTopology::kClique, 13, 13);
+  PlanGenOptions options;
+  options.max_subproblems = 30;
+  PlanGenerator gen(&expert(), clique, options);
+  auto plan = gen.FindCheapestJoinPlan();
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
 }
 
-// --- Pruned DP == exhaustive DP (the property test) --------------------
+// --- Cost-only DP == exhaustive DP (the property test) -----------------
+
+// The reference's orientation rule: both orientations of one split through
+// BestJoin, the outer-first one kept on a cost tie.
+PlanNodePtr JoinEitherOrientation(TraditionalOptimizer* opt,
+                                  const Query& query, const PlanNode& a,
+                                  const PlanNode& b) {
+  PlanNodePtr ab = opt->BestJoin(query, a.Clone(), b.Clone());
+  PlanNodePtr ba = opt->BestJoin(query, b.Clone(), a.Clone());
+  return ab->est_cost <= ba->est_cost ? std::move(ab) : std::move(ba);
+}
 
 // In-test reference: the pre-plan_gen DPsize semantics over one connected
 // component — EVERY submask (internally-disconnected ones included),
@@ -192,8 +107,8 @@ std::map<RelSet, PlanNodePtr> ReferenceComponentTable(
     PlanNodePtr best;
     auto consider = [&](RelSet s1) {
       const RelSet s2 = mask & ~s1;
-      PlanNodePtr cand = opt->BestJoinEitherOrientation(
-          query, table[s1]->Clone(), table[s2]->Clone());
+      PlanNodePtr cand =
+          JoinEitherOrientation(opt, query, *table[s1], *table[s2]);
       if (best == nullptr || cand->est_cost < best->est_cost) {
         best = std::move(cand);
       }
@@ -219,7 +134,8 @@ std::map<RelSet, PlanNodePtr> ReferenceComponentTable(
 // Reference for a whole (possibly disconnected) query: per-component
 // DPsize tables, then the exact cross-combination DP over components the
 // production enumerator uses.
-double ReferenceCheapestCost(TraditionalOptimizer* opt, const Query& query) {
+PlanNodePtr ReferenceCheapestPlan(TraditionalOptimizer* opt,
+                                  const Query& query) {
   const int n = query.num_relations();
   const RelSet all = RelSetAll(n);
   // Connected components of the join graph.
@@ -246,7 +162,7 @@ double ReferenceCheapestCost(TraditionalOptimizer* opt, const Query& query) {
     auto table = ReferenceComponentTable(opt, query, comp);
     comp_best.push_back(std::move(table[comp]));
   }
-  if (comp_best.size() == 1) return comp_best[0]->est_cost;
+  if (comp_best.size() == 1) return std::move(comp_best[0]);
   // Cross-combine whole components (DP over component masks).
   const size_t k = comp_best.size();
   std::vector<PlanNodePtr> combo(size_t{1} << k);
@@ -257,18 +173,18 @@ double ReferenceCheapestCost(TraditionalOptimizer* opt, const Query& query) {
     for (size_t s1 = (mask - 1) & mask; s1 != 0; s1 = (s1 - 1) & mask) {
       const size_t s2 = mask & ~s1;
       if (s1 > s2) continue;
-      PlanNodePtr cand = opt->BestJoinEitherOrientation(
-          query, combo[s1]->Clone(), combo[s2]->Clone());
+      PlanNodePtr cand =
+          JoinEitherOrientation(opt, query, *combo[s1], *combo[s2]);
       if (best == nullptr || cand->est_cost < best->est_cost) {
         best = std::move(cand);
       }
     }
     combo[mask] = std::move(best);
   }
-  return combo.back()->est_cost;
+  return std::move(combo.back());
 }
 
-TEST_F(PlanGenTest, PrunedCheapestCostMatchesExhaustiveReference) {
+TEST_F(PlanGenTest, CheapestPlanMatchesExhaustiveReference) {
   const JoinTopology topologies[] = {
       JoinTopology::kChain,  JoinTopology::kStar,
       JoinTopology::kClique, JoinTopology::kSnowflake,
@@ -278,23 +194,19 @@ TEST_F(PlanGenTest, PrunedCheapestCostMatchesExhaustiveReference) {
   for (JoinTopology topology : topologies) {
     for (int n : {5, 10}) {
       Query query = TopologyQuery(topology, n, ++seed);
-      const double reference = ReferenceCheapestCost(&expert(), query);
-      // Dominance pruning and the per-list budget must not change the
-      // cheapest cost — at ANY budget >= 1 (truncation never evicts a
-      // subproblem's cheapest plan).
-      for (int budget : {1, 2, 8}) {
-        PlanGenOptions options;
-        options.max_plans_per_subproblem = budget;
-        PlanGenerator gen(&expert(), query, options);
-        auto plan = gen.FindCheapestJoinPlan();
-        ASSERT_TRUE(plan.ok())
-            << JoinTopologyName(topology) << " r" << n << ": "
-            << plan.status().ToString();
-        EXPECT_EQ((*plan)->est_cost, reference)
-            << JoinTopologyName(topology) << " r" << n << " budget "
-            << budget;
-        EXPECT_EQ((*plan)->rels, RelSetAll(n));
-      }
+      const PlanNodePtr reference = ReferenceCheapestPlan(&expert(), query);
+      PlanGenerator gen(&expert(), query);
+      auto plan = gen.FindCheapestJoinPlan();
+      ASSERT_TRUE(plan.ok())
+          << JoinTopologyName(topology) << " r" << n << ": "
+          << plan.status().ToString();
+      // The whole plan, not just its cost: same splits, orientations,
+      // operators, access paths and annotations.
+      EXPECT_EQ((*plan)->est_cost, reference->est_cost)
+          << JoinTopologyName(topology) << " r" << n;
+      EXPECT_EQ((*plan)->ToString(query), reference->ToString(query))
+          << JoinTopologyName(topology) << " r" << n;
+      EXPECT_EQ((*plan)->rels, RelSetAll(n));
     }
   }
 }
@@ -302,9 +214,9 @@ TEST_F(PlanGenTest, PrunedCheapestCostMatchesExhaustiveReference) {
 // --- Large-join scaling ------------------------------------------------
 
 TEST_F(PlanGenTest, SixteenRelationChainPlansExactly) {
-  // The demonstration behind the PR: a 16-relation chain induces only
-  // 136 connected subproblems, so the pruned generator plans it exactly —
-  // the historic enumerator's Theta(3^n) subset walk was infeasible here.
+  // A 16-relation chain induces only 136 connected subproblems, so the
+  // generator plans it exactly — the historic enumerator's Theta(3^n)
+  // subset walk was infeasible here.
   Query query = TopologyQuery(JoinTopology::kChain, 16, 900);
   PlanGenerator gen(&expert(), query, PlanGenOptions());
   auto plan = gen.FindCheapestJoinPlan();
@@ -330,6 +242,30 @@ TEST_F(PlanGenTest, DenseLargeJoinDegradesToResourceExhausted) {
   auto fallback = optimizer.Optimize(query);
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
   EXPECT_EQ((*fallback)->rels, RelSetAll(16));
+}
+
+TEST_F(PlanGenTest, ManyComponentsFallBackToGeqo) {
+  // 21 aliases of one table and no join predicate: 21 join-graph
+  // components, so 2^21 - 1 cross-combination states — over the
+  // subproblem budget. With the threshold admitting DP, Optimize must fall
+  // back to GEQO rather than abort.
+  Query query;
+  query.name = "pg_kind_type_x21";
+  for (int i = 0; i < 21; ++i) {
+    query.relations.push_back({"kind_type", "k" + std::to_string(i)});
+  }
+  ASSERT_TRUE(query.Validate(engine().catalog()).ok());
+  PlanGenerator gen(&expert(), query);
+  auto dp = gen.FindCheapestJoinPlan();
+  ASSERT_FALSE(dp.ok());
+  EXPECT_EQ(dp.status().code(), StatusCode::kResourceExhausted);
+  OptimizerOptions options;
+  options.geqo_threshold = 32;
+  TraditionalOptimizer optimizer(&engine().catalog(),
+                                 &engine().cost_model(), options);
+  auto plan = optimizer.Optimize(query);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ((*plan)->rels, RelSetAll(21));
 }
 
 }  // namespace
