@@ -1,20 +1,26 @@
 // Shared infrastructure for the figure/claim benches: engine construction
-// at bench scale, the JOB-like suite, ReJOIN training wiring, and small
-// table-printing helpers. Every bench is deterministic (fixed seeds).
+// at bench scale, the JOB-like suite, ReJOIN training wiring (the pipeline
+// env with only its join-order stage), and small table-printing helpers.
+// Every bench is deterministic (fixed seeds).
 #ifndef HFQ_BENCH_BENCH_COMMON_H_
 #define HFQ_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/full_env.h"
+#include "core/pg_trainer.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
+#include "rl/search_context.h"
+#include "search/plan_search.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "workload/generator.h"
@@ -81,76 +87,102 @@ inline std::vector<Query> MakeLatencyWorkload(Engine* engine, int count,
   return workload;
 }
 
-/// Everything a ReJOIN experiment needs, wired to one engine.
-struct RejoinHarness {
-  std::unique_ptr<RejoinFeaturizer> featurizer;
-  JoinRewardFn reward_fn;
-  std::unique_ptr<JoinOrderEnv> env;
-  std::unique_ptr<RejoinTrainer> trainer;
+/// ReJOIN's default reward, -log10(M(t) / expert cost): the same optimum
+/// per query as the paper's 1/M(t), but comparable across queries, which
+/// stabilizes one policy trained over a heterogeneous suite. Fig 3a's
+/// window metric (cost relative to the expert) is recovered exactly as
+/// 10^(-reward). The expert plans each query once, on first sight; safe to
+/// share across rollout workers.
+class ExpertNormalizedCostReward : public RewardSignal {
+ public:
+  explicit ExpertNormalizedCostReward(Engine* engine) : engine_(engine) {}
 
-  /// Physicalizes a join tree through the expert's later pipeline stages
-  /// (the paper's Section 3 division of labour) and returns its cost.
-  double TreeCost(Engine* engine, const Query& query,
-                  const JoinTreeNode& tree) const {
-    auto plan = engine->expert().PhysicalizeJoinTree(query, tree);
-    HFQ_CHECK(plan.ok());
-    return (*plan)->est_cost;
+  double Score(const Query& query, PlanNode* plan) override {
+    last_cost_.store(plan->est_cost);
+    return -std::log10(std::max(1.0, plan->est_cost) / ExpertCost(query));
   }
+  double LastMetric() const override { return last_cost_.load(); }
+  std::string name() const override { return "expert_normalized_cost"; }
+
+ private:
+  double ExpertCost(const Query& query) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = expert_cost_.find(query.name);
+    if (it == expert_cost_.end()) {
+      auto expert_plan = engine_->expert().Optimize(query);
+      HFQ_CHECK(expert_plan.ok());
+      it = expert_cost_
+               .emplace(query.name, std::max(1.0, (*expert_plan)->est_cost))
+               .first;
+    }
+    return it->second;
+  }
+
+  Engine* engine_;
+  std::mutex mu_;
+  std::map<std::string, double> expert_cost_;
+  std::atomic<double> last_cost_{0.0};
 };
 
-/// Builds the ReJOIN setup of the paper's case study: pairwise-join env
-/// rewarded from the expert's cost model. Two reward forms:
-///   * paper-literal 1/M(t) (expert_normalized = false);
-///   * -log10(M(t) / expert cost) (default): the same optimum per query,
-///     but cross-query comparable, which stabilizes one policy trained
-///     over a heterogeneous suite. Fig 3a's window metric (cost relative
-///     to the expert) is recovered exactly as 10^(-reward).
-inline RejoinHarness MakeRejoinHarness(Engine* engine, int max_relations,
-                                       RejoinConfig config = RejoinConfig(),
-                                       uint64_t seed = 7,
-                                       bool expert_normalized = true) {
-  RejoinHarness harness;
-  harness.featurizer = std::make_unique<RejoinFeaturizer>(
-      max_relations, &engine->estimator());
-  if (expert_normalized) {
-    auto expert_cost = std::make_shared<std::map<std::string, double>>();
-    harness.reward_fn = [engine, expert_cost](const Query& q,
-                                              const JoinTreeNode& tree) {
-      auto it = expert_cost->find(q.name);
-      if (it == expert_cost->end()) {
-        auto expert_plan = engine->expert().Optimize(q);
-        HFQ_CHECK(expert_plan.ok());
-        it = expert_cost->emplace(q.name,
-                                  std::max(1.0, (*expert_plan)->est_cost))
-                 .first;
-      }
-      auto plan = engine->expert().PhysicalizeJoinTree(q, tree);
-      HFQ_CHECK(plan.ok());
-      return -std::log10(std::max(1.0, (*plan)->est_cost) / it->second);
-    };
-  } else {
-    harness.reward_fn = [engine](const Query& q, const JoinTreeNode& tree) {
-      auto plan = engine->expert().PhysicalizeJoinTree(q, tree);
-      HFQ_CHECK(plan.ok());
-      return 1e5 / std::max(1.0, (*plan)->est_cost);  // Paper: 1/M(t).
-    };
+/// The ReJOIN setup of the paper's case study, wired to one engine: the
+/// pipeline env with only its join-order stage enabled, so the expert
+/// physicalizes every join order the agent picks (paper Section 3), and
+/// the policy-gradient trainer. The reward is expert-normalized by
+/// default, or the paper-literal 1/M(t) (`expert_normalized` = false).
+struct RejoinHarness {
+  RejoinHarness(Engine* engine, int max_relations,
+                PolicyGradientConfig pg = PolicyGradientConfig(),
+                int episodes_per_update = 8, int num_rollout_workers = 1,
+                uint64_t seed = 7, bool expert_normalized = true)
+      : featurizer(max_relations, &engine->estimator()),
+        reward(expert_normalized
+                   ? std::unique_ptr<RewardSignal>(
+                         std::make_unique<ExpertNormalizedCostReward>(engine))
+                   : std::make_unique<ReciprocalCostReward>(
+                         &engine->cost_model(), 1e5)),
+        env(&featurizer, &engine->expert(), reward.get()),
+        trainer(&env, pg, episodes_per_update, num_rollout_workers, seed) {
+    env.set_stages(PipelineStages::JoinOrderOnly());
   }
-  harness.env = std::make_unique<JoinOrderEnv>(harness.featurizer.get(),
-                                               harness.reward_fn);
-  harness.trainer = std::make_unique<RejoinTrainer>(harness.env.get(),
-                                                    config, seed);
-  return harness;
-}
+
+  /// Plans `query` with the trained policy through `search` (greedy by
+  /// default), as HandsFreeOptimizer::PlanOnEnv does, and returns the
+  /// finished plan (owned by `env`, valid until its next episode).
+  /// `planning_ms_out` receives the search's charge: pure inference time
+  /// for greedy (the Figure 3c metric), every rollout and expansion for
+  /// the other modes.
+  const PlanNode* Plan(const Query& query,
+                       const SearchConfig& search = SearchConfig(),
+                       double* planning_ms_out = nullptr,
+                       SearchResult* result_out = nullptr) {
+    env.SetQuery(&query);
+    AgentPolicy policy(&trainer.agent());
+    SearchContext ctx{&policy, /*rng=*/nullptr, &ws, &scratch};
+    auto result = MakePlanSearch(search)->Search(&env, ctx);
+    HFQ_CHECK_MSG(result.ok(), "plan search failed");
+    if (planning_ms_out != nullptr) *planning_ms_out = result->planning_ms;
+    if (result_out != nullptr) *result_out = std::move(*result);
+    return env.FinalPlan();
+  }
+
+  RejoinFeaturizer featurizer;
+  std::unique_ptr<RewardSignal> reward;
+  FullPipelineEnv env;
+  PolicyGradientTrainer trainer;
+  /// Planning scratch, reused across queries.
+  MlpWorkspace ws;
+  SearchScratch scratch;
+};
 
 /// The Fig-3a training schedule: decay learning rate and entropy twice.
-inline void ApplyRejoinSchedule(RejoinTrainer* trainer, int episode,
+inline void ApplyRejoinSchedule(PolicyGradientAgent* agent, int episode,
                                 int total_episodes) {
   if (episode == total_episodes / 3) {
-    trainer->agent().set_policy_learning_rate(5e-4);
-    trainer->agent().set_entropy_coef(0.005);
+    agent->set_policy_learning_rate(5e-4);
+    agent->set_entropy_coef(0.005);
   } else if (episode == 2 * total_episodes / 3) {
-    trainer->agent().set_policy_learning_rate(2e-4);
-    trainer->agent().set_entropy_coef(0.002);
+    agent->set_policy_learning_rate(2e-4);
+    agent->set_entropy_coef(0.002);
   }
 }
 

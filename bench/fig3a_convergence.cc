@@ -1,8 +1,9 @@
 // FIG3A — Figure 3a, "ReJOIN convergence": mean plan cost relative to the
 // traditional optimizer (PostgreSQL in the paper) as training progresses.
 // The paper's curve starts around 800-900% and crosses ~100% near 8-9k
-// episodes. We train ReJOIN with the paper's reward (1/M(t), the expert's
-// cost model) over the JOB-like suite and print the same series.
+// episodes. We train ReJOIN (the pipeline env's join-order stage) with the
+// expert's cost model as reward, normalized per query by the expert's own
+// plan cost, over the JOB-like suite and print the same series.
 #include <algorithm>
 #include <cmath>
 #include <map>
@@ -28,11 +29,10 @@ int main() {
     expert_cost[q.name] = std::max(1.0, (*plan)->est_cost);
   }
 
-  RejoinConfig config;
-  config.pg.hidden_dims = {128, 128};  // ReJOIN's architecture.
-  config.pg.policy_lr = 1e-3;
-  config.episodes_per_update = 16;
-  RejoinHarness harness = MakeRejoinHarness(engine.get(), 17, config);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {128, 128};  // ReJOIN's architecture.
+  pg.policy_lr = 1e-3;
+  RejoinHarness harness(engine.get(), 17, pg, /*episodes_per_update=*/16);
 
   const int kEpisodes = 9000;  // The paper needed ~9k to reach parity.
   const int kWindow = 250;
@@ -41,16 +41,16 @@ int main() {
 
   std::printf("%-10s %-26s %s\n", "episodes", "plan cost rel. to expert",
               "(window mean over last 250 episodes)");
-  harness.trainer->Train(
-      workload, kEpisodes,
-      [&](int episode, const RejoinEpisodeStats& stats) {
-        ApplyRejoinSchedule(harness.trainer.get(), episode, kEpisodes);
+  harness.trainer.Train(
+      workload, kEpisodes, [&](const TrainedEpisode& episode) {
+        ApplyRejoinSchedule(&harness.trainer.agent(), episode.index,
+                            kEpisodes);
         // reward = -log10(cost / expert)  =>  ratio = 10^(-reward).
-        double ratio = std::pow(10.0, -stats.reward);
+        double ratio = std::pow(10.0, -episode.reward);
         window_ratio_sum += ratio;
         ++window_count;
-        if ((episode + 1) % kWindow == 0) {
-          std::printf("%-10d %6.0f%%\n", episode + 1,
+        if ((episode.index + 1) % kWindow == 0) {
+          std::printf("%-10d %6.0f%%\n", episode.index + 1,
                       100.0 * window_ratio_sum / window_count);
           std::fflush(stdout);
           window_ratio_sum = 0.0;
@@ -62,9 +62,7 @@ int main() {
   double total_ratio = 0.0;
   double wins = 0.0;
   for (const Query& q : workload) {
-    auto tree = harness.trainer->Plan(q);
-    double cost = harness.TreeCost(engine.get(), q, *tree);
-    double ratio = cost / expert_cost[q.name];
+    double ratio = harness.Plan(q)->est_cost / expert_cost[q.name];
     total_ratio += ratio;
     if (ratio <= 1.001) wins += 1.0;
   }

@@ -1,15 +1,22 @@
 // train_rejoin: the paper's Section 3 case study as a runnable example.
 // Trains a ReJOIN join-order enumerator on a JOB-like workload and
 // compares its greedy plans against the traditional optimizer, on both
-// the cost model's terms and the latency simulator's.
+// the cost model's terms and the latency simulator's. ReJOIN is the
+// pipeline env with only its join-order stage enabled: the agent picks the
+// join order, and the traditional optimizer does the rest.
 //
 // Run:  ./examples/train_rejoin [episodes]   (default 1500)
-#include <cmath>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "core/engine.h"
-#include "rejoin/rejoin.h"
+#include "core/full_env.h"
+#include "core/pg_trainer.h"
+#include "core/reward.h"
+#include "rl/search_context.h"
+#include "search/plan_search.h"
 #include "util/logging.h"
 #include "workload/generator.h"
 
@@ -37,45 +44,45 @@ int main(int argc, char** argv) {
   // ReJOIN: join ordering learned; access paths / operators / aggregates
   // delegated to the traditional optimizer (paper Section 3).
   RejoinFeaturizer featurizer(9, &engine.estimator());
-  JoinRewardFn reward = [&engine](const Query& q, const JoinTreeNode& tree) {
-    auto plan = engine.expert().PhysicalizeJoinTree(q, tree);
-    if (!plan.ok()) return 0.0;
-    return 1e5 / std::max(1.0, (*plan)->est_cost);  // The paper's 1/M(t).
-  };
-  JoinOrderEnv env(&featurizer, reward);
-  RejoinConfig config;
-  config.pg.hidden_dims = {128, 128};
-  RejoinTrainer trainer(&env, config, 42);
+  ReciprocalCostReward reward(&engine.cost_model(), 1e5);  // Paper: 1/M(t).
+  FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
+  env.set_stages(PipelineStages::JoinOrderOnly());
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {128, 128};
+  PolicyGradientTrainer trainer(&env, pg, /*episodes_per_update=*/8,
+                                /*num_rollout_workers=*/1, /*seed=*/42);
 
   std::printf("training for %d episodes...\n", episodes);
   double window = 0.0;
   int window_n = 0;
-  trainer.Train(*workload, episodes,
-                [&](int e, const RejoinEpisodeStats& stats) {
-                  window += stats.reward;
-                  ++window_n;
-                  if ((e + 1) % 300 == 0) {
-                    std::printf("  episode %-6d mean reward %.4f\n", e + 1,
-                                window / window_n);
-                    window = 0.0;
-                    window_n = 0;
-                  }
-                });
+  trainer.Train(*workload, episodes, [&](const TrainedEpisode& episode) {
+    window += episode.reward;
+    ++window_n;
+    if ((episode.index + 1) % 300 == 0) {
+      std::printf("  episode %-6d mean reward %.4f\n", episode.index + 1,
+                  window / window_n);
+      window = 0.0;
+      window_n = 0;
+    }
+  });
 
   std::printf("\n%-8s %-5s %12s %12s %10s %10s\n", "query", "rels",
               "expert cost", "rejoin cost", "expert ms", "rejoin ms");
+  AgentPolicy policy(&trainer.agent());
+  MlpWorkspace ws;
+  SearchContext ctx{&policy, /*rng=*/nullptr, &ws};
+  std::unique_ptr<PlanSearch> greedy = MakePlanSearch(SearchConfig());
   double cost_ratio = 0.0;
   for (const Query& q : *workload) {
     auto expert = engine.RunExpert(q);
     if (!expert.ok()) continue;
-    double planning_ms = 0.0;
-    auto tree = trainer.Plan(q, &planning_ms);
-    auto plan = engine.expert().PhysicalizeJoinTree(q, *tree);
-    if (!plan.ok()) continue;
-    double rejoin_ms = engine.latency().SimulateMs(q, **plan);
-    cost_ratio += (*plan)->est_cost / std::max(1.0, expert->cost);
+    env.SetQuery(&q);
+    if (!greedy->Search(&env, ctx).ok()) continue;
+    const PlanNode* plan = env.FinalPlan();
+    double rejoin_ms = engine.latency().SimulateMs(q, *plan);
+    cost_ratio += plan->est_cost / std::max(1.0, expert->cost);
     std::printf("%-8s %-5d %12.0f %12.0f %10.1f %10.1f\n", q.name.c_str(),
-                q.num_relations(), expert->cost, (*plan)->est_cost,
+                q.num_relations(), expert->cost, plan->est_cost,
                 expert->latency_ms, rejoin_ms);
   }
   std::printf("\nmean cost ratio (rejoin/expert): %.2fx\n",

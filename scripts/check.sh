@@ -118,7 +118,7 @@ if [[ "$bench_smoke" == ON ]]; then
   # Mirrors CI's bench-smoke step (local builds keep HFQ_BUILD_BENCH on
   # in every configuration, so the binary is always here).
   ./bench/bench_micro_benchmarks \
-    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_ExpertOptimize|BM_PlanServer|BM_Execute' \
+    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_ExpertOptimize|BM_PlanServer|BM_Execute|BM_RejoinRolloutCollection' \
     --benchmark_min_time=0.01
   python3 ../perfbench/test_digest.py eval
 fi

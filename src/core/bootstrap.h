@@ -13,14 +13,12 @@
 #define HFQ_CORE_BOOTSTRAP_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/full_env.h"
-#include "rl/policy_gradient.h"
-#include "util/thread_pool.h"
+#include "core/pg_trainer.h"
 
 namespace hfq {
 
@@ -41,11 +39,8 @@ struct BootstrapConfig {
   /// Tail fraction of Phase 1 used to calibrate Cmin/Cmax/Lmin/Lmax.
   double calibration_fraction = 0.2;
   BootstrapSwitchMode switch_mode = BootstrapSwitchMode::kScaled;
-  /// Rollout-collection parallelism: N > 1 collects each update batch
-  /// across N worker envs (built internally from the primary env's
-  /// collaborators) against the frozen policy. Worker 0 shares the agent's
-  /// rng stream, worker w >= 1 samples from a stream seeded `seed + w`;
-  /// 1 worker reproduces the serial trajectories bit-for-bit.
+  /// Rollout-collection parallelism (see PolicyGradientTrainer): 1
+  /// collects serially, N > 1 is deterministic for a fixed (seed, N).
   int num_rollout_workers = 1;
 };
 
@@ -82,37 +77,28 @@ class BootstrapTrainer {
                  const std::function<void(const BootstrapEpisodeStats&)>&
                      on_episode = nullptr);
 
-  PolicyGradientAgent& agent() { return agent_; }
+  PolicyGradientAgent& agent() { return trainer_.agent(); }
   const ScaledLatencyReward& scaled_reward() const { return scaled_reward_; }
 
  private:
-  /// Shared phase driver: round-based (parallel-capable) episode
-  /// collection with the serial update cadence.
+  /// Trains one phase on the env's current reward; the worker harvests
+  /// each plan's cost and simulated latency for the stats.
   void RunPhase(const std::vector<Query>& workload, int episodes, int phase,
                 const std::function<void(const BootstrapEpisodeStats&)>&
                     on_episode);
 
-  /// Builds worker envs / rngs / pool on first parallel use.
-  void EnsureWorkers();
-
   FullPipelineEnv* env_;
   Engine* engine_;
   BootstrapConfig config_;
-  PolicyGradientAgent agent_;
-  uint64_t seed_;
   NegLogCostReward cost_reward_;
   NegLogLatencyReward latency_reward_;
   ScaledLatencyReward scaled_reward_;
-  std::vector<Episode> pending_;
-  std::vector<std::unique_ptr<FullPipelineEnv>> worker_envs_;
-  std::vector<std::unique_ptr<Rng>> worker_rngs_;
-  std::unique_ptr<ThreadPool> pool_;
+  PolicyGradientTrainer trainer_;
   int episode_counter_ = 0;
   /// Phase-1 episode index from which calibration accumulates (set by
   /// RunPhase1 for the phase driver).
   int calibration_start_ = 0;
   // Calibration accumulators (tail of Phase 1).
-  bool calibrating_ = false;
   double cost_min_ = 0.0, cost_max_ = 0.0;
   double lat_min_ = 0.0, lat_max_ = 0.0;
   bool have_ranges_ = false;

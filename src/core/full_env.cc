@@ -7,15 +7,6 @@
 namespace hfq {
 namespace {
 
-// Derives the logical join tree (with orientation) under a physical plan.
-std::unique_ptr<JoinTreeNode> ExtractJoinTree(const PlanNode& node) {
-  if (node.IsAggregate()) return ExtractJoinTree(*node.child(0));
-  if (node.IsScan()) return JoinTreeNode::Leaf(node.rel_idx);
-  HFQ_CHECK(node.IsJoin());
-  return JoinTreeNode::Join(ExtractJoinTree(*node.child(0)),
-                            ExtractJoinTree(*node.child(1)));
-}
-
 // Finds the scan node for a relation in a physical plan (nullptr if none).
 const PlanNode* FindScanNode(const PlanNode& node, int rel) {
   if (node.IsScan()) return node.rel_idx == rel ? &node : nullptr;
@@ -131,7 +122,7 @@ void FullPipelineEnv::Reset() {
       // Expert supplies the join order; the agent decides later stages.
       auto expert_plan = expert_->Optimize(*query_);
       HFQ_CHECK_MSG(expert_plan.ok(), "expert failed to plan");
-      tree_ = ExtractJoinTree(**expert_plan);
+      tree_ = JoinTreeOf(**expert_plan);
     }
     internal_nodes_.clear();
     tree_->InternalNodesPostOrder(&internal_nodes_);
@@ -642,7 +633,7 @@ Result<Episode> FullPipelineEnv::ExpertEpisode(const Query& query,
   Episode episode;
 
   // Expert's logical tree and its internal nodes in post-order.
-  std::unique_ptr<JoinTreeNode> expert_tree = ExtractJoinTree(expert_plan);
+  std::unique_ptr<JoinTreeNode> expert_tree = JoinTreeOf(expert_plan);
   std::vector<const JoinTreeNode*> expert_internal;
   expert_tree->InternalNodesPostOrder(&expert_internal);
   size_t next_internal = 0;

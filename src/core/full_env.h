@@ -150,7 +150,10 @@ class FullPipelineEnv : public SearchEnv {
   PlanNodePtr final_plan_;
   double last_reward_ = 0.0;
   /// Query-static featurization scratch (mutable: StateVector is const but
-  /// warms the cache). Not copied on clone/pool-copy — see JoinOrderEnv.
+  /// warms the cache). Deliberately not copied by CloneSearch /
+  /// TryCopySearchStateFrom: pooled envs keep their own warm cache, and a
+  /// cold cache only costs one estimator round-trip, while copying the map
+  /// on every fork would cost more than it saves.
   mutable FeaturizeCache feat_cache_;
 };
 

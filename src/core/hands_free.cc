@@ -8,6 +8,7 @@
 #include "exec/executor.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
+#include "util/string_util.h"
 
 namespace hfq {
 
@@ -76,6 +77,18 @@ Status HandsFreeOptimizer::Train(const std::vector<Query>& workload) {
   // An over-capacity query would otherwise only surface as a featurizer
   // crash deep inside a rollout worker.
   HFQ_RETURN_IF_ERROR(CheckWorkloadCapacity(workload));
+  // Bootstrapping calibrates Phase 2 from Phase 1, which gets half the
+  // budget; the curriculum needs an episode to spread over its phases.
+  const int min_episodes =
+      config_.strategy == TrainingStrategy::kCostModelBootstrapping ? 2
+      : config_.strategy == TrainingStrategy::kIncrementalHybrid    ? 1
+                                                                     : 0;
+  if (config_.training_episodes < min_episodes) {
+    return Status::InvalidArgument(
+        StrFormat("%s needs training_episodes >= %d, got %d",
+                  TrainingStrategyName(config_.strategy), min_episodes,
+                  config_.training_episodes));
+  }
   switch (config_.strategy) {
     case TrainingStrategy::kLearningFromDemonstration: {
       HFQ_ASSIGN_OR_RETURN(int collected,

@@ -40,7 +40,8 @@ struct HandsFreeConfig {
       TrainingStrategy::kLearningFromDemonstration;
   /// Largest query (relation count) the optimizer will ever see.
   int max_relations = 17;
-  /// Training episode budget.
+  /// Training episode budget. Bootstrapping needs at least 2 (Phase 1
+  /// gets half), the curriculum at least 1; Train rejects less.
   int training_episodes = 2000;
   uint64_t seed = 7;
   /// Parallelism knob, copied into the strategy backends at construction:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "rl/rollout.h"
 #include "util/check.h"
 #include "util/string_util.h"
 
@@ -162,46 +161,17 @@ IncrementalTrainer::IncrementalTrainer(FullPipelineEnv* env,
                                        int num_rollout_workers)
     : env_(env),
       generator_(generator),
-      agent_(env->state_dim(), env->action_dim(), pg, seed),
-      episodes_per_update_(episodes_per_update),
-      seed_(seed),
-      num_rollout_workers_(std::max(1, num_rollout_workers)) {
+      trainer_(env, pg, episodes_per_update, num_rollout_workers, seed) {
   HFQ_CHECK(env != nullptr && generator != nullptr);
-}
-
-void IncrementalTrainer::EnsureWorkers() {
-  if (num_rollout_workers_ <= 1) return;
-  while (static_cast<int>(worker_envs_.size()) < num_rollout_workers_ - 1) {
-    worker_envs_.push_back(std::make_unique<FullPipelineEnv>(
-        env_->featurizer(), env_->expert(), env_->reward(), env_->config()));
-    worker_rngs_.push_back(std::make_unique<Rng>(
-        seed_ + static_cast<uint64_t>(worker_rngs_.size()) + 1));
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(num_rollout_workers_);
-  }
 }
 
 Status IncrementalTrainer::Run(
     const std::vector<CurriculumPhase>& phases, int queries_per_phase,
     const std::function<void(const CurriculumEpisodeStats&)>& on_episode) {
-  EnsureWorkers();
-  std::vector<FullPipelineEnv*> envs = {env_};
-  std::vector<Rng*> rngs = {&agent_.rng()};
-  for (size_t w = 0; w + 1 < static_cast<size_t>(num_rollout_workers_); ++w) {
-    envs.push_back(worker_envs_[w].get());
-    rngs.push_back(worker_rngs_[w].get());
-  }
-  ThreadPool* pool = num_rollout_workers_ > 1 ? pool_.get() : nullptr;
-
   for (size_t pi = 0; pi < phases.size(); ++pi) {
     const CurriculumPhase& phase = phases[pi];
     if (phase.episodes <= 0) continue;
     env_->set_stages(phase.stages);
-    for (auto& worker_env : worker_envs_) {
-      worker_env->set_stages(phase.stages);
-      worker_env->set_reward(env_->reward());
-    }
     // Per-phase workload matching the relation cap. Mix sizes 2..cap so
     // earlier skills are not forgotten (except the 2-relation phase).
     std::vector<Query> workload;
@@ -214,49 +184,17 @@ Status IncrementalTrainer::Run(
               n, StrFormat("cur_%s_p%zu_q%d", phase.label.c_str(), pi, qi)));
       workload.push_back(std::move(q));
     }
-
-    // Round-based collection: a round ends exactly where the serial loop
-    // would apply a policy update, so the policy is frozen within a round
-    // and the update cadence matches the serial path episode-for-episode.
-    int e = 0;
-    while (e < phase.episodes) {
-      const int room =
-          episodes_per_update_ - static_cast<int>(pending_.size());
-      const int round = std::min(phase.episodes - e, std::max(1, room));
-      std::vector<const Query*> queries(static_cast<size_t>(round));
-      for (int i = 0; i < round; ++i) {
-        queries[static_cast<size_t>(i)] =
-            &workload[static_cast<size_t>(e + i) % workload.size()];
-      }
-      std::vector<Episode> collected =
-          CollectRollouts(agent_, envs, rngs, queries, pool,
-                          [](int, FullPipelineEnv*, const Episode&) {});
-      for (int i = 0; i < round; ++i) {
-        Episode& episode = collected[static_cast<size_t>(i)];
-        CurriculumEpisodeStats stats;
-        stats.global_episode = global_episode_++;
-        stats.phase_index = static_cast<int>(pi);
-        stats.query_name = queries[static_cast<size_t>(i)]->name;
-        stats.reward = episode.TotalReward();
-        if (!episode.steps.empty()) {
-          pending_.push_back(std::move(episode));
-          if (static_cast<int>(pending_.size()) >= episodes_per_update_) {
-            agent_.Update(pending_);
-            pending_.clear();
-          }
-        }
-        if (on_episode) on_episode(stats);
-      }
-      e += round;
-    }
-    // Flush the phase's trailing partial batch: leftover episodes would
-    // otherwise be dropped at the end of the run, or mix this phase's
-    // stage regime (with stale old_prob PPO ratios) into the next phase's
-    // first update — the bug class PR 2 fixed in RejoinTrainer.
-    if (!pending_.empty()) {
-      agent_.Update(pending_);
-      pending_.clear();
-    }
+    // Train flushes the phase's trailing partial batch, so no update mixes
+    // two phases' stage sets.
+    trainer_.Train(workload, phase.episodes,
+                   [&](const TrainedEpisode& trained) {
+                     CurriculumEpisodeStats stats;
+                     stats.global_episode = global_episode_++;
+                     stats.phase_index = static_cast<int>(pi);
+                     stats.query_name = trained.query->name;
+                     stats.reward = trained.reward;
+                     if (on_episode) on_episode(stats);
+                   });
   }
   return Status::OK();
 }

@@ -6,13 +6,11 @@
 #define HFQ_CORE_INCREMENTAL_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/full_env.h"
-#include "rl/policy_gradient.h"
-#include "util/thread_pool.h"
+#include "core/pg_trainer.h"
 #include "workload/generator.h"
 
 namespace hfq {
@@ -65,13 +63,9 @@ struct CurriculumEpisodeStats {
 /// each phase sees queries matching its relation cap.
 class IncrementalTrainer {
  public:
-  /// `env` and `generator` must outlive the trainer. With
-  /// `num_rollout_workers` > 1 each update batch is collected in parallel
-  /// on that many workers; worker envs are built internally from the
-  /// primary env's collaborators (worker 0 shares the agent's rng stream,
-  /// worker w >= 1 samples from a stream seeded `seed + w`), so a fixed
-  /// (seed, worker count) is deterministic and 1 worker matches the serial
-  /// trajectories bit-for-bit.
+  /// `env` and `generator` must outlive the trainer. `num_rollout_workers`
+  /// is PolicyGradientTrainer's: 1 collects serially, N > 1 is
+  /// deterministic for a fixed (seed, N).
   IncrementalTrainer(FullPipelineEnv* env, WorkloadGenerator* generator,
                      PolicyGradientConfig pg, int episodes_per_update,
                      uint64_t seed, int num_rollout_workers = 1);
@@ -83,23 +77,13 @@ class IncrementalTrainer {
              const std::function<void(const CurriculumEpisodeStats&)>&
                  on_episode = nullptr);
 
-  PolicyGradientAgent& agent() { return agent_; }
+  PolicyGradientAgent& agent() { return trainer_.agent(); }
 
  private:
-  /// Builds worker envs / rngs / pool on first parallel use.
-  void EnsureWorkers();
-
   FullPipelineEnv* env_;
   WorkloadGenerator* generator_;
-  PolicyGradientAgent agent_;
-  int episodes_per_update_;
-  uint64_t seed_;
-  int num_rollout_workers_;
-  std::vector<Episode> pending_;
+  PolicyGradientTrainer trainer_;
   int global_episode_ = 0;
-  std::vector<std::unique_ptr<FullPipelineEnv>> worker_envs_;
-  std::vector<std::unique_ptr<Rng>> worker_rngs_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace hfq

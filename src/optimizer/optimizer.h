@@ -84,10 +84,11 @@ class TraditionalOptimizer {
 
   /// Performs everything *except* join ordering: physicalizes the given
   /// logical join tree (access paths, join operators, aggregate operator),
-  /// preserving the tree's shape and child orientation. This is what a
-  /// learned join enumerator (ReJOIN) delegates to the traditional
-  /// optimizer (paper Section 3: "the final join ordering is sent to the
-  /// optimizer to perform operator selection, index selection, etc.").
+  /// preserving the tree's shape and child orientation (paper Section 3:
+  /// "the final join ordering is sent to the optimizer to perform operator
+  /// selection, index selection, etc."). ReJOIN's plans, built by the
+  /// pipeline env with only its join-order stage enabled, are exactly this
+  /// physicalization of the agent's tree (pinned by core_test).
   Result<PlanNodePtr> PhysicalizeJoinTree(const Query& query,
                                           const JoinTreeNode& tree);
 

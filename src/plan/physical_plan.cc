@@ -168,4 +168,12 @@ PlanNodePtr MakeAggregate(PhysicalOp op, PlanNodePtr input) {
   return node;
 }
 
+std::unique_ptr<JoinTreeNode> JoinTreeOf(const PlanNode& plan) {
+  if (plan.IsAggregate()) return JoinTreeOf(*plan.child(0));
+  if (plan.IsScan()) return JoinTreeNode::Leaf(plan.rel_idx);
+  HFQ_CHECK(plan.IsJoin());
+  return JoinTreeNode::Join(JoinTreeOf(*plan.child(0)),
+                            JoinTreeOf(*plan.child(1)));
+}
+
 }  // namespace hfq

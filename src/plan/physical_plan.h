@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "catalog/schema.h"
+#include "plan/join_tree.h"
 #include "plan/query.h"
 #include "plan/relset.h"
 
@@ -109,6 +110,9 @@ PlanNodePtr MakeJoin(PhysicalOp op, PlanNodePtr left, PlanNodePtr right,
                      std::vector<int> join_pred_idxs,
                      int inner_probe_pred_idx = -1);
 PlanNodePtr MakeAggregate(PhysicalOp op, PlanNodePtr input);
+
+/// The logical join tree under a plan, child orientation included.
+std::unique_ptr<JoinTreeNode> JoinTreeOf(const PlanNode& plan);
 
 }  // namespace hfq
 

@@ -1,7 +1,7 @@
 // The reinforcement-learning environment interface (states, masked discrete
-// actions, terminal rewards) shared by ReJOIN's join-ordering MDP and the
-// full-pipeline MDP, plus the branchable extension (SearchEnv) that
-// plan-time search (src/search) builds on.
+// actions, terminal rewards) of the full-pipeline MDP (core/full_env.h),
+// whose join-order stage alone is ReJOIN's MDP, plus the branchable
+// extension (SearchEnv) that plan-time search (src/search) builds on.
 #ifndef HFQ_RL_ENV_H_
 #define HFQ_RL_ENV_H_
 
@@ -66,8 +66,7 @@ class SearchEnv : public Environment {
 
   /// Scalar score of the finished episode, lower is better (valid once
   /// Done()). Concrete envs define the unit: the full-pipeline env reports
-  /// the final plan's cost-model cost; the join-order env reports the
-  /// negated terminal reward.
+  /// the final plan's cost-model cost.
   virtual double FinalCost() const = 0;
 
   /// Pool-reuse hook: overwrite this env's in-flight episode state with a

@@ -12,7 +12,7 @@
 // The loop is search-strategy agnostic: the teacher search arrives as an
 // injected callable (TeacherSearchFn), so this module depends only on the
 // rl/ layer while src/search (which depends on rl/) supplies the actual
-// searchers through src/core and src/rejoin.
+// searchers through src/core.
 #ifndef HFQ_RL_TEACHER_LOOP_H_
 #define HFQ_RL_TEACHER_LOOP_H_
 
@@ -140,7 +140,7 @@ struct TeacherLoopTask {
   /// final cost) — called immediately after the winning plan is replayed,
   /// while `env` is Done() at that plan, so implementations may inspect
   /// env outputs (e.g. the final physical plan). Defaults to the negated
-  /// episode return, which matches SearchEnv::FinalCost conventions.
+  /// episode return (lower is better, like SearchEnv::FinalCost).
   std::function<double(size_t, const Episode&, double)> demo_target;
 };
 

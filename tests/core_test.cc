@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "core/bootstrap.h"
 #include "core/demonstration.h"
@@ -183,6 +185,45 @@ TEST_F(CoreTest, ExpertEpisodeReplaysExpertDecisions) {
   // Every recorded action was marked valid in its recorded mask.
   for (const Transition& t : episode->steps) {
     EXPECT_TRUE(t.mask[static_cast<size_t>(t.action)]);
+  }
+}
+
+// ReJOIN's plan is the expert's physicalization of its join order: with
+// only the join-order stage enabled, the env builds exactly the plan
+// PhysicalizeJoinTree builds for whatever join tree the agent reaches.
+TEST(RejoinPlanTest, JoinOrderOnlyPlanIsTheExpertPhysicalization) {
+  Engine& e = testing::SharedEngine();
+  RejoinFeaturizer featurizer(12, &e.estimator());
+  ReciprocalCostReward reward(&e.cost_model(), 1e5);  // ReJOIN's 1/M(t).
+  FullEnvConfig config;
+  config.stages = PipelineStages::JoinOrderOnly();
+  FullPipelineEnv env(&featurizer, &e.expert(), &reward, config);
+  WorkloadGenerator gen(&e.catalog(), 2019);
+  Rng rng(11);
+  for (int n = 2; n <= 12; ++n) {
+    for (int variant = 0; variant < 3; ++variant) {
+      auto q = gen.GenerateQuery(n, "rejoin_equiv" + std::to_string(n) + "_" +
+                                        std::to_string(variant));
+      ASSERT_TRUE(q.ok());
+      env.SetQuery(&*q);
+      env.Reset();
+      while (!env.Done()) {
+        std::vector<bool> mask = env.ActionMask();
+        std::vector<int> valid;
+        for (int a = 0; a < env.action_dim(); ++a) {
+          if (mask[static_cast<size_t>(a)]) valid.push_back(a);
+        }
+        ASSERT_FALSE(valid.empty());
+        env.Step(rng.Choice(valid));
+      }
+      const PlanNode* plan = env.FinalPlan();
+      std::unique_ptr<JoinTreeNode> tree = JoinTreeOf(*plan);
+      EXPECT_EQ(tree->rels, RelSetAll(n));
+      auto expert = e.expert().PhysicalizeJoinTree(*q, *tree);
+      ASSERT_TRUE(expert.ok());
+      EXPECT_EQ(plan->ToString(*q), (*expert)->ToString(*q)) << q->name;
+      EXPECT_EQ(plan->est_cost, (*expert)->est_cost) << q->name;
+    }
   }
 }
 

@@ -141,6 +141,47 @@ TEST(HandsFreeTest, TrainOnEmptyWorkloadFails) {
   EXPECT_FALSE(optimizer.Train({}).ok());
 }
 
+// A budget the strategy cannot run is an InvalidArgument naming the
+// minimum, not an abort inside the trainer: bootstrapping calibrates
+// Phase 2 from Phase 1 (half the budget), the curriculum needs an episode.
+TEST(HandsFreeTest, TrainRejectsBudgetsTheStrategyCannotRun) {
+  struct Case {
+    TrainingStrategy strategy;
+    std::vector<int> too_small;
+    int minimum;
+  };
+  // A private engine: the curriculum names its generated queries by phase,
+  // and a 1-episode curriculum draws different queries under the names the
+  // other facades in this binary already gave the shared engine's memos.
+  EngineOptions options;
+  options.imdb.scale = 0.05;
+  auto engine = Engine::CreateImdbLike(options);
+  ASSERT_TRUE(engine.ok());
+  std::vector<Query> workload = TinyWorkload(2, 3, 912);
+  for (const Case& c :
+       {Case{TrainingStrategy::kCostModelBootstrapping, {-1, 0, 1}, 2},
+        Case{TrainingStrategy::kIncrementalHybrid, {-1, 0}, 1}}) {
+    HandsFreeConfig config = TinyConfig(c.strategy);
+    for (int budget : c.too_small) {
+      config.training_episodes = budget;
+      HandsFreeOptimizer optimizer(engine->get(), config);
+      Status status = optimizer.Train(workload);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << TrainingStrategyName(c.strategy) << " " << budget;
+      EXPECT_NE(status.message().find(">= " + std::to_string(c.minimum)),
+                std::string::npos)
+          << status.ToString();
+      EXPECT_FALSE(optimizer.Optimize(workload[0]).ok());
+    }
+    config.training_episodes = c.minimum;
+    HandsFreeOptimizer optimizer(engine->get(), config);
+    Status status = optimizer.Train(workload);
+    ASSERT_TRUE(status.ok()) << TrainingStrategyName(c.strategy) << " "
+                             << status.ToString();
+    EXPECT_TRUE(optimizer.Optimize(workload[0]).ok());
+  }
+}
+
 TEST(HandsFreeTest, QueryLargerThanMaxRelationsIsRejected) {
   HandsFreeOptimizer optimizer(
       &testing::SharedEngine(),

@@ -1,6 +1,7 @@
 // Parallel rollout-collection contract tests:
 //   * the 1-worker parallel path reproduces the (pre-threadpool) serial
-//     trainer bit-for-bit — trajectories and final network weights;
+//     trainer bit-for-bit — trajectories and final network weights —
+//     training ReJOIN (the pipeline env's join-order stage);
 //   * an N-worker run is deterministic for a fixed seed and worker count;
 //   * parallel demonstration collection equals the serial pass;
 //   * the facade hands its worker count to the strategy backend.
@@ -18,9 +19,8 @@
 #include <unistd.h>
 
 #include "core/hands_free.h"
+#include "core/pg_trainer.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
 #include "tests/test_common.h"
 #include "workload/generator.h"
 
@@ -59,15 +59,12 @@ class ParallelRolloutTest : public ::testing::Test {
  protected:
   ParallelRolloutTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        // Thread-safe reward: PhysicalizeJoinTree + cost annotation only
-        // touch the internally synchronized substrate.
-        reward_fn_([](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_) {}
+        // Thread-safe reward: cost annotation only touches the internally
+        // synchronized substrate.
+        reward_(&testing::SharedEngine().cost_model(), 1e5),
+        env_(&featurizer_, &testing::SharedEngine().expert(), &reward_) {
+    env_.set_stages(PipelineStages::JoinOrderOnly());
+  }
 
   Query MakeQuery(int n, uint64_t seed, const std::string& name) {
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
@@ -86,33 +83,34 @@ class ParallelRolloutTest : public ::testing::Test {
 
   static constexpr int kN = 8;
   RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
+  ReciprocalCostReward reward_;
+  FullPipelineEnv env_;
 };
 
 TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
   std::vector<Query> workload = MakeWorkload(100, "eq");
   constexpr int kEpisodes = 50;
   constexpr uint64_t kSeed = 33;
-  RejoinConfig config;
-  config.pg.hidden_dims = {24, 24};
-  config.episodes_per_update = 8;
-  config.num_rollout_workers = 1;
+  constexpr int kEpisodesPerUpdate = 8;
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {24, 24};
 
   // The trainer's (round-based, workspace-inference) path.
-  RejoinTrainer trainer(&env_, config, kSeed);
+  PolicyGradientTrainer trainer(&env_, pg, kEpisodesPerUpdate,
+                                /*num_rollout_workers=*/1, kSeed);
   std::vector<Episode> trainer_trajs;
-  trainer.set_trajectory_sink([&trainer_trajs](int e, const Episode& ep) {
-    ASSERT_EQ(e, static_cast<int>(trainer_trajs.size()));
-    trainer_trajs.push_back(ep);
-  });
-  trainer.Train(workload, kEpisodes);
+  trainer.Train(workload, kEpisodes, nullptr,
+                [&trainer_trajs](int e, const FullPipelineEnv&,
+                                 const Episode& ep) {
+                  ASSERT_EQ(e, static_cast<int>(trainer_trajs.size()));
+                  trainer_trajs.push_back(ep);
+                });
 
   // Hand-rolled serial reference replicating the pre-parallelism trainer:
   // mutating SampleAction from the agent's rng, update every
   // episodes_per_update episodes, trailing flush.
-  PolicyGradientAgent reference(env_.state_dim(), env_.action_dim(),
-                                config.pg, kSeed);
+  PolicyGradientAgent reference(env_.state_dim(), env_.action_dim(), pg,
+                                kSeed);
   std::vector<Episode> reference_trajs;
   std::vector<Episode> pending;
   for (int e = 0; e < kEpisodes; ++e) {
@@ -132,7 +130,7 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
     reference_trajs.push_back(episode);
     if (!episode.steps.empty()) {
       pending.push_back(std::move(episode));
-      if (static_cast<int>(pending.size()) >= config.episodes_per_update) {
+      if (static_cast<int>(pending.size()) >= kEpisodesPerUpdate) {
         reference.Update(pending);
         pending.clear();
       }
@@ -155,24 +153,20 @@ TEST_F(ParallelRolloutTest, NWorkerRunIsDeterministicForFixedSeed) {
   constexpr uint64_t kSeed = 55;
 
   auto run = [&](std::vector<Episode>* trajs) {
-    JoinOrderEnv primary(&featurizer_, reward_fn_);
-    std::vector<std::unique_ptr<JoinOrderEnv>> extra;
-    std::vector<JoinOrderEnv*> extra_ptrs;
-    for (int w = 1; w < kWorkers; ++w) {
-      extra.push_back(
-          std::make_unique<JoinOrderEnv>(&featurizer_, reward_fn_));
-      extra_ptrs.push_back(extra.back().get());
-    }
-    RejoinConfig config;
-    config.pg.hidden_dims = {24, 24};
-    config.episodes_per_update = 8;
-    config.num_rollout_workers = kWorkers;
-    auto trainer = std::make_unique<RejoinTrainer>(&primary, config, kSeed);
-    trainer->SetWorkerEnvs(extra_ptrs);
-    trainer->set_trajectory_sink(
-        [trajs](int, const Episode& ep) { trajs->push_back(ep); });
-    trainer->Train(workload, kEpisodes);
-    Mlp policy(trainer->agent().policy_net());
+    FullPipelineEnv primary(&featurizer_, &testing::SharedEngine().expert(),
+                            &reward_);
+    primary.set_stages(PipelineStages::JoinOrderOnly());
+    PolicyGradientConfig pg;
+    pg.hidden_dims = {24, 24};
+    PolicyGradientTrainer trainer(&primary, pg, /*episodes_per_update=*/8,
+                                  kWorkers, kSeed);
+    // The harvest runs on the workers, each writing its own slot.
+    trajs->resize(kEpisodes);
+    trainer.Train(workload, kEpisodes, nullptr,
+                  [trajs](int e, const FullPipelineEnv&, const Episode& ep) {
+                    (*trajs)[static_cast<size_t>(e)] = ep;
+                  });
+    Mlp policy(trainer.agent().policy_net());
     return policy;
   };
 

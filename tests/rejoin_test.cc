@@ -1,29 +1,36 @@
-// Tests for src/rejoin: featurization properties, the join-order MDP's
-// transition/mask semantics, and short-horizon training improvement.
+// Tests for ReJOIN: featurization properties, the join-order MDP's
+// transition/mask semantics (the pipeline env with only its join-order
+// stage), and short-horizon training improvement.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/full_env.h"
+#include "core/pg_trainer.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
+#include "search/plan_search.h"
 #include "tests/test_common.h"
 #include "workload/generator.h"
 
 namespace hfq {
 namespace {
 
+FullEnvConfig JoinOrderOnly() {
+  FullEnvConfig config;
+  config.stages = PipelineStages::JoinOrderOnly();
+  return config;
+}
+
 class RejoinTest : public ::testing::Test {
  protected:
   RejoinTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_fn_([this](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_) {}
+        reward_(&testing::SharedEngine().cost_model(), 1e5),
+        env_(&featurizer_, &testing::SharedEngine().expert(), &reward_,
+             JoinOrderOnly()) {}
 
   Query MakeQuery(int n, uint64_t seed, const std::string& name) {
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
@@ -32,10 +39,23 @@ class RejoinTest : public ::testing::Test {
     return std::move(*q);
   }
 
+  /// One greedy episode of the agent's policy on `query`; its reward.
+  double GreedyReward(PolicyGradientAgent& agent, const Query& query) {
+    env_.SetQuery(&query);
+    env_.Reset();
+    double reward = 0.0;
+    while (!env_.Done()) {
+      std::vector<double> state = env_.StateVector();
+      std::vector<bool> mask = env_.ActionMask();
+      reward = env_.Step(agent.GreedyAction(state, mask)).reward;
+    }
+    return reward;
+  }
+
   static constexpr int kN = 8;
   RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
+  ReciprocalCostReward reward_;  // The paper's 1/M(t).
+  FullPipelineEnv env_;
 };
 
 TEST_F(RejoinTest, FeatureDimAndStaticBlocks) {
@@ -44,7 +64,9 @@ TEST_F(RejoinTest, FeatureDimAndStaticBlocks) {
   env_.SetQuery(&q);
   env_.Reset();
   std::vector<double> f = env_.StateVector();
-  ASSERT_EQ(static_cast<int>(f.size()), featurizer_.FeatureDim());
+  // The featurization, then the pipeline's stage and decision blocks.
+  ASSERT_EQ(static_cast<int>(f.size()), featurizer_.FeatureDim() + 4 + 2 * kN);
+  ASSERT_EQ(static_cast<int>(f.size()), env_.state_dim());
   // Initial state: each leaf subtree s contains only relation s at depth 0
   // -> tree block is the identity scaled by 1.
   for (int s = 0; s < 4; ++s) {
@@ -75,7 +97,7 @@ TEST_F(RejoinTest, DepthWeightedTreeEncoding) {
     }
   }
   ASSERT_GE(action, 0);
-  auto [x, y] = env_.DecodeAction(action);
+  const int x = action / kN, y = action % kN;
   env_.Step(action);
   std::vector<double> f = env_.StateVector();
   // The merged tree sits at slot min(x, y); both relations are at depth 1
@@ -92,25 +114,24 @@ TEST_F(RejoinTest, MaskAllowsOnlyConnectedPairs) {
   Query q = MakeQuery(5, 3, "mask1");
   env_.SetQuery(&q);
   env_.Reset();
+  // Before the first join, slot s holds the leaf of relation s.
   std::vector<bool> mask = env_.ActionMask();
-  auto subtrees = env_.Subtrees();
   for (int a = 0; a < env_.action_dim(); ++a) {
     if (!mask[static_cast<size_t>(a)]) continue;
-    auto [x, y] = env_.DecodeAction(a);
-    ASSERT_LT(static_cast<size_t>(x), subtrees.size());
-    ASSERT_LT(static_cast<size_t>(y), subtrees.size());
+    const int x = a / kN, y = a % kN;
+    ASSERT_LT(x, q.num_relations());
+    ASSERT_LT(y, q.num_relations());
     EXPECT_NE(x, y);
-    EXPECT_FALSE(q.JoinPredsBetween(subtrees[static_cast<size_t>(x)]->rels,
-                                    subtrees[static_cast<size_t>(y)]->rels)
-                     .empty())
+    EXPECT_FALSE(q.JoinPredsBetween(RelSetOf(x), RelSetOf(y)).empty())
         << "masked-in action joins disconnected subtrees";
   }
 }
 
 TEST_F(RejoinTest, CrossProductsAllowedWhenConfigured) {
-  JoinEnvConfig config;
+  FullEnvConfig config = JoinOrderOnly();
   config.allow_cross_products = true;
-  JoinOrderEnv env(&featurizer_, reward_fn_, config);
+  FullPipelineEnv env(&featurizer_, &testing::SharedEngine().expert(),
+                      &reward_, config);
   Query q = MakeQuery(4, 4, "mask2");
   env.SetQuery(&q);
   env.Reset();
@@ -143,7 +164,7 @@ TEST_F(RejoinTest, EpisodeBuildsCompleteTree) {
   }
   EXPECT_EQ(steps, 5);  // n-1 joins.
   EXPECT_GT(final_reward, 0.0);
-  const JoinTreeNode* tree = env_.FinalTree();
+  std::unique_ptr<JoinTreeNode> tree = JoinTreeOf(*env_.FinalPlan());
   EXPECT_EQ(tree->rels, RelSetAll(6));
   EXPECT_EQ(tree->NumJoins(), 5);
 }
@@ -178,16 +199,16 @@ TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
   }
   double random_mean = random_total / random_episodes;
 
-  RejoinConfig config;
-  config.pg.hidden_dims = {32, 32};
-  config.pg.policy_lr = 2e-3;
-  RejoinTrainer trainer(&env_, config, 17);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {32, 32};
+  pg.policy_lr = 2e-3;
+  PolicyGradientTrainer trainer(&env_, pg, /*episodes_per_update=*/8,
+                                /*num_rollout_workers=*/1, /*seed=*/17);
   trainer.Train(workload, 400);
 
   double trained_total = 0.0;
   for (const Query& q : workload) {
-    RejoinEpisodeStats stats = trainer.RunEpisode(q, /*train=*/false);
-    trained_total += stats.reward;
+    trained_total += GreedyReward(trainer.agent(), q);
   }
   double trained_mean = trained_total / static_cast<double>(workload.size());
   EXPECT_GT(trained_mean, random_mean);
@@ -196,43 +217,46 @@ TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
 TEST_F(RejoinTest, TrainFlushesTrailingEpisodes) {
   // Episodes short of episodes_per_update used to be left in the pending
   // buffer at the end of Train, leaking (with stale old_prob values) into a
-  // later Train/RunEpisode update. Train must flush the remainder.
+  // later update. Train must apply the remainder before returning.
   Query q = MakeQuery(4, 10, "flush1");
-  RejoinConfig config;
-  config.pg.hidden_dims = {16};
-  config.episodes_per_update = 8;
-  RejoinTrainer trainer(&env_, config, 21);
-  trainer.Train({q}, 3);  // 3 < 8: a trailing partial batch.
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {16};
+  PolicyGradientTrainer trainer(&env_, pg, /*episodes_per_update=*/8,
+                                /*num_rollout_workers=*/1, /*seed=*/21);
+  auto weights = [&trainer] {
+    std::ostringstream out;
+    HFQ_CHECK(trainer.agent().Save(out).ok());
+    return out.str();
+  };
+  const std::string initial = weights();
+  trainer.Train({q}, 3);  // 3 < 8: only the trailing batch updates.
+  const std::string after_partial = weights();
+  EXPECT_NE(after_partial, initial);
   trainer.Train({q}, 11);  // 8 trigger an update, 3 trail again.
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
-
-  // Callers driving RunEpisode directly buffer episodes and can flush
-  // explicitly; a second flush is a no-op.
-  trainer.RunEpisode(q, /*train=*/true);
-  EXPECT_EQ(trainer.pending_episodes(), 1u);
-  trainer.FlushPendingEpisodes();
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
-  trainer.FlushPendingEpisodes();
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
-  // Evaluation episodes never enter the pending buffer.
-  trainer.RunEpisode(q, /*train=*/false);
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
+  EXPECT_NE(weights(), after_partial);
 }
 
 TEST_F(RejoinTest, PlanIsDeterministicAndTimed) {
   Query q = MakeQuery(6, 8, "plan1");
-  RejoinConfig config;
-  config.pg.hidden_dims = {16};
-  RejoinTrainer trainer(&env_, config, 19);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {16};
+  PolicyGradientTrainer trainer(&env_, pg, /*episodes_per_update=*/8,
+                                /*num_rollout_workers=*/1, /*seed=*/19);
   trainer.Train({q}, 40);
-  double ms1 = -1.0, ms2 = -1.0;
-  auto t1 = trainer.Plan(q, &ms1);
-  auto t2 = trainer.Plan(q, &ms2);
-  EXPECT_EQ(t1->ToString(q), t2->ToString(q));
-  EXPECT_GE(ms1, 0.0);
-  EXPECT_GE(ms2, 0.0);
-  EXPECT_EQ(t1->rels, RelSetAll(6));
+  AgentPolicy policy(&trainer.agent());
+  MlpWorkspace ws;
+  SearchContext ctx{&policy, /*rng=*/nullptr, &ws};
+  std::unique_ptr<PlanSearch> greedy = MakePlanSearch(SearchConfig());
+  env_.SetQuery(&q);
+  auto first = greedy->Search(&env_, ctx);
+  ASSERT_TRUE(first.ok());
+  const std::string plan1 = env_.FinalPlan()->ToString(q);
+  auto second = greedy->Search(&env_, ctx);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(env_.FinalPlan()->ToString(q), plan1);
+  EXPECT_GE(first->planning_ms, 0.0);
+  EXPECT_GE(second->planning_ms, 0.0);
+  EXPECT_EQ(env_.FinalPlan()->rels, RelSetAll(6));
 }
 
 TEST_F(RejoinTest, SingleRelationEpisodeIsTrivial) {
@@ -240,7 +264,7 @@ TEST_F(RejoinTest, SingleRelationEpisodeIsTrivial) {
   env_.SetQuery(&q);
   env_.Reset();
   EXPECT_TRUE(env_.Done());
-  EXPECT_EQ(env_.FinalTree()->rels, RelSetOf(0));
+  EXPECT_EQ(env_.FinalPlan()->rels, RelSetOf(0));
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Tests for src/search: the pluggable plan-time search layer. Pins the
+// Tests for src/search: the pluggable plan-time search layer, run on
+// ReJOIN (the pipeline env with only its join-order stage). Pins the
 // contracts the refactor rests on — GreedySearch is bit-for-bit the
 // historic inline greedy inference, best-of-1 and beam-1 degenerate to
 // greedy exactly, best-of-K is monotone non-increasing in K and
@@ -15,9 +16,9 @@
 
 #include "util/stopwatch.h"
 
+#include "core/full_env.h"
+#include "core/pg_trainer.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
 #include "search/plan_search.h"
 #include "tests/test_common.h"
 #include "util/thread_pool.h"
@@ -30,14 +31,11 @@ class SearchTest : public ::testing::Test {
  protected:
   SearchTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_fn_([](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_),
-        trainer_(&env_, RejoinConfig(), /*seed=*/20260730) {
+        reward_(&testing::SharedEngine().cost_model(), 1e5),
+        env_(&featurizer_, &testing::SharedEngine().expert(), &reward_),
+        trainer_(&env_, PolicyGradientConfig(), /*episodes_per_update=*/8,
+                 /*num_rollout_workers=*/1, /*seed=*/20260730) {
+    env_.set_stages(PipelineStages::JoinOrderOnly());
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), 99);
     for (int i = 0; i < 4; ++i) {
       auto q = gen.GenerateQuery(4 + i % 3, "search_q" + std::to_string(i));
@@ -120,31 +118,25 @@ class SearchTest : public ::testing::Test {
   };
 
   RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
-  RejoinTrainer trainer_;
+  ReciprocalCostReward reward_;
+  FullPipelineEnv env_;
+  PolicyGradientTrainer trainer_;
   std::vector<Query> queries_;
 };
 
 TEST_F(SearchTest, GreedySearchMatchesLegacyInlineGreedyBitForBit) {
   for (const Query& q : queries_) {
     std::vector<int> legacy = LegacyGreedyActions(q);
-    std::string legacy_tree = env_.FinalTree()->ToString(q);
+    std::string legacy_plan = env_.FinalPlan()->ToString(q);
     double legacy_cost = env_.FinalCost();
 
     SearchResult greedy = RunSearch(SearchConfig(), q);
     EXPECT_EQ(greedy.actions, legacy) << q.name;
-    EXPECT_EQ(env_.FinalTree()->ToString(q), legacy_tree) << q.name;
+    EXPECT_EQ(env_.FinalPlan()->ToString(q), legacy_plan) << q.name;
     EXPECT_EQ(greedy.cost, legacy_cost) << q.name;
     EXPECT_EQ(greedy.rollouts, 1);
     EXPECT_FALSE(greedy.fell_back_to_greedy);
-
-    // The trainer's Plan() routes through GreedySearch and must keep
-    // producing the same tree as the historic inline loop.
-    double planning_ms = -1.0;
-    auto tree = trainer_.Plan(q, &planning_ms);
-    EXPECT_EQ(tree->ToString(q), legacy_tree) << q.name;
-    EXPECT_GE(planning_ms, 0.0);
+    EXPECT_GE(greedy.planning_ms, 0.0);
   }
 }
 
@@ -225,8 +217,14 @@ TEST_F(SearchTest, BestOfKDeterministicRegardlessOfPriorSampling) {
   // streams are derived from (config.seed, rollout), so the result must
   // not move — the regression the facade's repeated-Optimize determinism
   // rests on.
-  trainer_.RunEpisode(queries_[1], /*train=*/true);
-  trainer_.RunEpisode(queries_[2], /*train=*/true);
+  for (const Query* burn : {&queries_[1], &queries_[2]}) {
+    env_.SetQuery(burn);
+    env_.Reset();
+    while (!env_.Done()) {
+      env_.Step(trainer_.agent().SampleAction(env_.StateVector(),
+                                              env_.ActionMask()));
+    }
+  }
   SearchResult b = RunSearch(config, q);
   EXPECT_EQ(a.actions, b.actions);
   EXPECT_EQ(a.cost, b.cost);
@@ -449,21 +447,17 @@ TEST_F(SearchTest, BudgetFallbackChargesFullSearchWallTime) {
   }
 }
 
-TEST_F(SearchTest, PlanWithSearchExposesTheSearchOnTheTrainer) {
+TEST_F(SearchTest, SearchedPlanIsTheEnvsFinishedPlan) {
   SearchConfig config;
   config.mode = SearchMode::kBestOfK;
   config.best_of_k = 8;
   const Query& q = queries_[0];
-  double greedy_ms = 0.0, search_ms = 0.0;
-  auto greedy_tree = trainer_.Plan(q, &greedy_ms);
-  SearchResult details;
-  auto searched_tree = trainer_.PlanWithSearch(q, config, &search_ms,
-                                               &details);
-  ASSERT_NE(searched_tree, nullptr);
+  SearchResult details = RunSearch(config, q);
+  ASSERT_TRUE(env_.Done());
   EXPECT_EQ(details.rollouts, 8);
   // Full-search accounting: K rollouts must charge at least the winning
   // rollout's share (wall clock, so only sanity-checked).
-  EXPECT_GE(search_ms, 0.0);
+  EXPECT_GE(details.planning_ms, 0.0);
   EXPECT_LE(details.cost, env_.FinalCost() + 1e-12);
 }
 

@@ -1,5 +1,5 @@
-// Tests for the search-as-teacher refinement loop (src/rl/teacher_loop,
-// RejoinTrainer::RefineWithTeacher, HandsFreeOptimizer::RefineWithTeacher):
+// Tests for the search-as-teacher refinement loop (src/rl/teacher_loop, run
+// on a trained ReJOIN agent, and HandsFreeOptimizer::RefineWithTeacher):
 // the per-iteration greedy mean cost is non-increasing by construction, a
 // frozen student re-discovers nothing (pool dedup), the loop is
 // deterministic across identical trainers, the experience pool checkpoint
@@ -13,10 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "core/full_env.h"
 #include "core/hands_free.h"
+#include "core/pg_trainer.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
 #include "rl/experience_pool.h"
 #include "rl/teacher_loop.h"
 #include "search/plan_search.h"
@@ -26,18 +26,55 @@
 namespace hfq {
 namespace {
 
+// ReJOIN (the pipeline env with only its join-order stage) plus its
+// policy-gradient trainer.
+struct RejoinSetup {
+  explicit RejoinSetup(RejoinFeaturizer* featurizer)
+      : reward(&testing::SharedEngine().cost_model(), 1e5),
+        env(featurizer, &testing::SharedEngine().expert(), &reward),
+        trainer(&env, PolicyGradientConfig(), /*episodes_per_update=*/8,
+                /*num_rollout_workers=*/1, /*seed=*/20260730) {
+    env.set_stages(PipelineStages::JoinOrderOnly());
+  }
+
+  /// Runs the teacher loop on the trained agent: `teacher_search` plans
+  /// every workload query, and the agent learns the cheapest known plan.
+  Result<std::vector<TeacherIterationStats>> RefineWithTeacher(
+      const std::vector<Query>& workload, const TeacherConfig& teacher,
+      const SearchConfig& teacher_search, ExperiencePool* pool) {
+    AgentPolicy policy(&trainer.agent());
+    AgentTeacherStudent student(&trainer.agent());
+    std::unique_ptr<PlanSearch> searcher = MakePlanSearch(teacher_search);
+    MlpWorkspace ws;
+    TeacherLoopTask task;
+    task.env = &env;
+    task.num_queries = workload.size();
+    task.select_query = [this, &workload](size_t i) {
+      env.SetQuery(&workload[i]);
+      return workload[i].StructuralFingerprint();
+    };
+    task.search = [&](SearchEnv* search_env) -> Result<TeacherSearchOutcome> {
+      SearchContext ctx{&policy, /*rng=*/nullptr, &ws};
+      HFQ_ASSIGN_OR_RETURN(SearchResult found,
+                           searcher->Search(search_env, ctx));
+      return TeacherSearchOutcome{std::move(found.actions), found.cost};
+    };
+    task.policy = &policy;
+    task.student = &student;
+    task.pool = pool;
+    return RunTeacherLoop(task, teacher);
+  }
+
+  ReciprocalCostReward reward;  // The paper's 1/M(t).
+  FullPipelineEnv env;
+  PolicyGradientTrainer trainer;
+};
+
 class TeacherLoopTest : public ::testing::Test {
  protected:
   TeacherLoopTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_fn_([](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_),
-        trainer_(&env_, RejoinConfig(), /*seed=*/20260730) {
+        rejoin_(&featurizer_) {
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), 99);
     for (int i = 0; i < 4; ++i) {
       auto q = gen.GenerateQuery(4 + i % 3, "teach_q" + std::to_string(i));
@@ -45,7 +82,7 @@ class TeacherLoopTest : public ::testing::Test {
       queries_.push_back(std::move(*q));
     }
     // Deliberately short training: the teacher needs a gap to close.
-    trainer_.Train(queries_, 48);
+    rejoin_.trainer.Train(queries_, 48);
   }
 
   static SearchConfig Beam4() {
@@ -57,9 +94,7 @@ class TeacherLoopTest : public ::testing::Test {
 
   static constexpr int kN = 8;
   RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
-  RejoinTrainer trainer_;
+  RejoinSetup rejoin_;
   std::vector<Query> queries_;
 };
 
@@ -67,14 +102,14 @@ TEST_F(TeacherLoopTest, GreedyMeanCostMonotoneNonIncreasing) {
   TeacherConfig teacher;
   teacher.iterations = 4;
   ExperiencePool pool;
-  auto stats = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto stats = rejoin_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_EQ(stats->size(), 4u);
   for (size_t i = 0; i < stats->size(); ++i) {
     const TeacherIterationStats& row = (*stats)[i];
     EXPECT_EQ(row.iteration, static_cast<int>(i));
-    // FinalCost here is the negated episode reward, so values are
-    // negative; only finiteness and ordering are meaningful.
+    // FinalCost here is the plan's cost-model cost; only finiteness and
+    // ordering are meaningful.
     EXPECT_TRUE(std::isfinite(row.teacher_mean_cost));
     EXPECT_TRUE(std::isfinite(row.greedy_mean_cost));
     // Every query has a best-known plan from iteration 0 on.
@@ -97,7 +132,7 @@ TEST_F(TeacherLoopTest, FrozenStudentRediscoversNothing) {
   teacher.iterations = 2;
   teacher.learn_passes = 0;
   ExperiencePool pool;
-  auto stats = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto stats = rejoin_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_EQ(stats->size(), 2u);
   EXPECT_GE((*stats)[0].new_plans, 1);
@@ -108,7 +143,7 @@ TEST_F(TeacherLoopTest, FrozenStudentRediscoversNothing) {
 
   // A later refinement against the same (still frozen) policy and pool
   // starts from full knowledge: nothing new in any iteration.
-  auto again = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto again = rejoin_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
   ASSERT_TRUE(again.ok());
   for (const TeacherIterationStats& row : *again) {
     EXPECT_EQ(row.new_plans, 0);
@@ -121,15 +156,15 @@ TEST_F(TeacherLoopTest, DeterministicAcrossIdenticalTrainers) {
   // same per-iteration stats, same final weights. (The loop is serial and
   // never consumes the trainer's sampling streams.)
   auto run = [this](std::string* weights_out) {
-    JoinOrderEnv env(&featurizer_, reward_fn_);
-    RejoinTrainer trainer(&env, RejoinConfig(), /*seed=*/20260730);
-    trainer.Train(queries_, 48);
+    RejoinSetup rejoin(&featurizer_);
+    rejoin.trainer.Train(queries_, 48);
     TeacherConfig teacher;
     teacher.iterations = 3;
-    auto stats = trainer.RefineWithTeacher(queries_, teacher, Beam4());
+    ExperiencePool pool;
+    auto stats = rejoin.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
     HFQ_CHECK(stats.ok());
     std::ostringstream weights;
-    HFQ_CHECK(trainer.agent().Save(weights).ok());
+    HFQ_CHECK(rejoin.trainer.agent().Save(weights).ok());
     *weights_out = weights.str();
     return *stats;
   };
@@ -153,7 +188,7 @@ TEST_F(TeacherLoopTest, PoolCheckpointRoundTripsAndResumes) {
   teacher.iterations = 1;
   teacher.learn_passes = 0;  // Frozen policy: discoveries are reproducible.
   ExperiencePool pool;
-  auto stats = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto stats = rejoin_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
   ASSERT_TRUE(stats.ok());
   ASSERT_GE(pool.size(), 1u);
 
@@ -169,7 +204,7 @@ TEST_F(TeacherLoopTest, PoolCheckpointRoundTripsAndResumes) {
   // Resuming against the restored checkpoint: the frozen policy's searches
   // only rediscover plans the pool already holds.
   auto resumed =
-      trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &*loaded);
+      rejoin_.RefineWithTeacher(queries_, teacher, Beam4(), &*loaded);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ((*resumed)[0].new_plans, 0);
   EXPECT_EQ(loaded->size(), pool.size());
