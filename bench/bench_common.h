@@ -97,9 +97,9 @@ class ExpertNormalizedCostReward : public RewardSignal {
  public:
   explicit ExpertNormalizedCostReward(Engine* engine) : engine_(engine) {}
 
-  double Score(const Query& query, PlanNode* plan) override {
-    last_cost_.store(plan->est_cost);
-    return -std::log10(std::max(1.0, plan->est_cost) / ExpertCost(query));
+  double Score(const Query& query, const PlanNode& plan) override {
+    last_cost_.store(plan.est_cost);
+    return -std::log10(std::max(1.0, plan.est_cost) / ExpertCost(query));
   }
   double LastMetric() const override { return last_cost_.load(); }
   std::string name() const override { return "expert_normalized_cost"; }
@@ -127,8 +127,9 @@ class ExpertNormalizedCostReward : public RewardSignal {
 /// The ReJOIN setup of the paper's case study, wired to one engine: the
 /// pipeline env with only its join-order stage enabled, so the expert
 /// physicalizes every join order the agent picks (paper Section 3), and
-/// the policy-gradient trainer. The reward is expert-normalized by
-/// default, or the paper-literal 1/M(t) (`expert_normalized` = false).
+/// the policy-gradient trainer, which scores each episode's plan. The
+/// reward is expert-normalized by default, or the paper-literal 1/M(t)
+/// (`expert_normalized` = false).
 struct RejoinHarness {
   RejoinHarness(Engine* engine, int max_relations,
                 PolicyGradientConfig pg = PolicyGradientConfig(),
@@ -138,10 +139,10 @@ struct RejoinHarness {
         reward(expert_normalized
                    ? std::unique_ptr<RewardSignal>(
                          std::make_unique<ExpertNormalizedCostReward>(engine))
-                   : std::make_unique<ReciprocalCostReward>(
-                         &engine->cost_model(), 1e5)),
-        env(&featurizer, &engine->expert(), reward.get()),
-        trainer(&env, pg, episodes_per_update, num_rollout_workers, seed) {
+                   : std::make_unique<ReciprocalCostReward>(1e5)),
+        env(&featurizer, &engine->expert()),
+        trainer(&env, reward.get(), pg, episodes_per_update,
+                num_rollout_workers, seed) {
     env.set_stages(PipelineStages::JoinOrderOnly());
   }
 

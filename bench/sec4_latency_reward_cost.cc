@@ -26,10 +26,9 @@ int main() {
                           /*max_rels=*/12, /*seed=*/777);
 
   RejoinFeaturizer featurizer(13, &engine->estimator());
-  NegLogLatencyReward reward(&engine->latency(), &engine->cost_model());
   FullEnvConfig config;
   config.allow_cross_products = true;  // Naive agent: nothing is masked.
-  FullPipelineEnv env(&featurizer, &engine->expert(), &reward, config);
+  FullPipelineEnv env(&featurizer, &engine->expert(), config);
 
   const int kEpisodes = 500;
   Rng rng(99);

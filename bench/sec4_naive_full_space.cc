@@ -37,9 +37,10 @@ double RandomPolicyMeanCost(FullPipelineEnv* env,
   return total / episodes;
 }
 
-// Trains a policy-gradient agent in `env` and returns the mean greedy cost
-// over the workload after training.
-double TrainAndEvaluate(FullPipelineEnv* env,
+// Trains a policy-gradient agent in `env` on `reward` (scored once per
+// episode, on its last transition) and returns the mean greedy cost over
+// the workload after training.
+double TrainAndEvaluate(FullPipelineEnv* env, RewardSignal* reward,
                         const std::vector<Query>& workload, int episodes,
                         uint64_t seed, double* train_mean_cost) {
   PolicyGradientConfig pg;
@@ -58,9 +59,11 @@ double TrainAndEvaluate(FullPipelineEnv* env,
       t.state = env->StateVector();
       t.mask = env->ActionMask();
       t.action = agent.SampleAction(t.state, t.mask, &t.old_prob);
-      StepResult r = env->Step(t.action);
-      t.reward = r.reward;
+      env->Step(t.action);
       episode.steps.push_back(std::move(t));
+    }
+    if (!episode.steps.empty()) {
+      episode.steps.back().reward = reward->Score(q, *env->FinalPlan());
     }
     if (e >= episodes * 3 / 4) {  // Tail window: post-training behaviour.
       cost_sum += env->FinalPlan()->est_cost;
@@ -110,28 +113,28 @@ int main() {
   }
 
   RejoinFeaturizer featurizer(10, &engine->estimator());
-  NegLogCostReward reward(&engine->cost_model());
+  NegLogCostReward reward;
   const int kBudget = 1500;
 
   // (a) Naive: full pipeline + cross products allowed.
   FullEnvConfig naive_config;
   naive_config.allow_cross_products = true;
-  FullPipelineEnv naive_env(&featurizer, &engine->expert(), &reward,
-                            naive_config);
+  FullPipelineEnv naive_env(&featurizer, &engine->expert(), naive_config);
   double naive_train = 0.0;
-  double naive_greedy =
-      TrainAndEvaluate(&naive_env, workload, kBudget, 1, &naive_train);
+  double naive_greedy = TrainAndEvaluate(&naive_env, &reward, workload,
+                                         kBudget, 1, &naive_train);
   double naive_random =
       RandomPolicyMeanCost(&naive_env, workload, 300, 2);
 
   // (b) Restricted: join order only, connected joins only (ReJOIN).
   FullEnvConfig restricted_config;
   restricted_config.stages = PipelineStages::JoinOrderOnly();
-  FullPipelineEnv restricted_env(&featurizer, &engine->expert(), &reward,
+  FullPipelineEnv restricted_env(&featurizer, &engine->expert(),
                                  restricted_config);
   double restricted_train = 0.0;
-  double restricted_greedy = TrainAndEvaluate(&restricted_env, workload,
-                                              kBudget, 3, &restricted_train);
+  double restricted_greedy =
+      TrainAndEvaluate(&restricted_env, &reward, workload, kBudget, 3,
+                       &restricted_train);
   double restricted_random =
       RandomPolicyMeanCost(&restricted_env, workload, 300, 4);
 

@@ -45,7 +45,6 @@ int main() {
                           /*max_rels=*/8, /*seed=*/51);
 
   RejoinFeaturizer featurizer(8, &engine->estimator());
-  NegLogLatencyReward reward(&engine->latency(), &engine->cost_model());
 
   double expert_mean = 0.0;
   for (const Query& q : workload) {
@@ -59,7 +58,7 @@ int main() {
   const int kWindow = 100;
 
   // --- LfD learner: demonstrations + pre-training, then fine-tuning. ---
-  FullPipelineEnv lfd_env(&featurizer, &engine->expert(), &reward);
+  FullPipelineEnv lfd_env(&featurizer, &engine->expert());
   LfdConfig lfd_config;
   lfd_config.predictor.hidden_dims = {128, 128};
   lfd_config.pretrain_steps = 3000;
@@ -76,7 +75,7 @@ int main() {
   lfd.Pretrain();
 
   // --- Tabula rasa twin: same learner, no demonstrations. ---
-  FullPipelineEnv tr_env(&featurizer, &engine->expert(), &reward);
+  FullPipelineEnv tr_env(&featurizer, &engine->expert());
   LfdConfig tr_config = lfd_config;
   tr_config.epsilon_start = 0.5;  // It must explore from nothing.
   tr_config.slip_window = 1 << 30;  // No demonstrations to fall back on.

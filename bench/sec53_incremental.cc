@@ -47,7 +47,7 @@ int main() {
   auto engine = MakeEngine();
   const int kMaxRelations = 8;
   RejoinFeaturizer featurizer(kMaxRelations, &engine->estimator());
-  NegLogCostReward reward(&engine->cost_model());
+  NegLogCostReward reward;
 
   // ---------- Part 1: the measured Figure 6 grid. ----------
   std::printf(
@@ -68,7 +68,7 @@ int main() {
       HFQ_CHECK(train.ok());
       FullEnvConfig config;
       config.stages = PipelineStages::Prefix(k);
-      FullPipelineEnv env(&featurizer, &engine->expert(), &reward, config);
+      FullPipelineEnv env(&featurizer, &engine->expert(), config);
       PolicyGradientConfig pg;
       pg.hidden_dims = {64, 64};
       PolicyGradientAgent agent(env.state_dim(), env.action_dim(), pg,
@@ -84,11 +84,11 @@ int main() {
           t.state = env.StateVector();
           t.mask = env.ActionMask();
           t.action = agent.SampleAction(t.state, t.mask, &t.old_prob);
-          StepResult r = env.Step(t.action);
-          t.reward = r.reward;
+          env.Step(t.action);
           episode.steps.push_back(std::move(t));
         }
         if (!episode.steps.empty()) {
+          episode.steps.back().reward = reward.Score(q, *env.FinalPlan());
           pending.push_back(std::move(episode));
           if (pending.size() >= 8) {
             agent.Update(pending);
@@ -123,12 +123,12 @@ int main() {
   for (CurriculumKind kind :
        {CurriculumKind::kFlat, CurriculumKind::kPipeline,
         CurriculumKind::kRelations, CurriculumKind::kHybrid}) {
-    FullPipelineEnv env(&featurizer, &engine->expert(), &reward);
+    FullPipelineEnv env(&featurizer, &engine->expert());
     WorkloadGenerator gen(&engine->catalog(), 5400, QueryShapeOptions(),
                           &engine->db());
     PolicyGradientConfig pg;
     pg.hidden_dims = {128, 128};
-    IncrementalTrainer trainer(&env, &gen, pg, 8, 53);
+    IncrementalTrainer trainer(&env, &reward, &gen, pg, 8, 53);
     auto phases = BuildCurriculum(kind, kBudget, kMaxRelations);
     Status status = trainer.Run(phases, /*queries_per_phase=*/16);
     HFQ_CHECK_MSG(status.ok(), "curriculum run failed");

@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
   std::printf("\ntraining through the '%s' curriculum...\n",
               CurriculumKindName(kind));
   RejoinFeaturizer featurizer(6, &engine.estimator());
-  NegLogCostReward reward(&engine.cost_model());
-  FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
+  NegLogCostReward reward;
+  FullPipelineEnv env(&featurizer, &engine.expert());
   WorkloadGenerator generator(&engine.catalog(), 606, QueryShapeOptions(),
                               &engine.db());
   PolicyGradientConfig pg;
   pg.hidden_dims = {64, 64};
-  IncrementalTrainer trainer(&env, &generator, pg, 8, 77);
+  IncrementalTrainer trainer(&env, &reward, &generator, pg, 8, 77);
 
   auto phases = BuildCurriculum(kind, 600, 6);
   int last_phase = -1;

@@ -31,8 +31,7 @@ int main() {
   }
 
   RejoinFeaturizer featurizer(6, &engine.estimator());
-  NegLogLatencyReward reward(&engine.latency(), &engine.cost_model());
-  FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
+  FullPipelineEnv env(&featurizer, &engine.expert());
 
   LfdConfig config;
   config.pretrain_steps = 800;

@@ -44,12 +44,12 @@ int main(int argc, char** argv) {
   // ReJOIN: join ordering learned; access paths / operators / aggregates
   // delegated to the traditional optimizer (paper Section 3).
   RejoinFeaturizer featurizer(9, &engine.estimator());
-  ReciprocalCostReward reward(&engine.cost_model(), 1e5);  // Paper: 1/M(t).
-  FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
+  ReciprocalCostReward reward(1e5);  // Paper: 1/M(t).
+  FullPipelineEnv env(&featurizer, &engine.expert());
   env.set_stages(PipelineStages::JoinOrderOnly());
   PolicyGradientConfig pg;
   pg.hidden_dims = {128, 128};
-  PolicyGradientTrainer trainer(&env, pg, /*episodes_per_update=*/8,
+  PolicyGradientTrainer trainer(&env, &reward, pg, /*episodes_per_update=*/8,
                                 /*num_rollout_workers=*/1, /*seed=*/42);
 
   std::printf("training for %d episodes...\n", episodes);

@@ -20,16 +20,13 @@ const char* BootstrapSwitchModeName(BootstrapSwitchMode mode) {
 
 BootstrapTrainer::BootstrapTrainer(FullPipelineEnv* env, Engine* engine,
                                    BootstrapConfig config, uint64_t seed)
-    : env_(env),
-      engine_(engine),
+    : engine_(engine),
       config_(config),
-      cost_reward_(&engine->cost_model()),
-      latency_reward_(&engine->latency(), &engine->cost_model()),
-      scaled_reward_(&engine->latency(), &engine->cost_model()),
-      trainer_(env, config.pg, config.episodes_per_update,
+      latency_reward_(&engine->latency()),
+      scaled_reward_(&engine->latency()),
+      trainer_(env, &cost_reward_, config.pg, config.episodes_per_update,
                config.num_rollout_workers, seed) {
   HFQ_CHECK(env != nullptr && engine != nullptr);
-  env_->set_reward(&cost_reward_);
 }
 
 void BootstrapTrainer::RunPhase(
@@ -72,7 +69,7 @@ void BootstrapTrainer::RunPhase1(
     const std::vector<Query>& workload, int episodes,
     const std::function<void(const BootstrapEpisodeStats&)>& on_episode) {
   HFQ_CHECK(!workload.empty());
-  env_->set_reward(&cost_reward_);
+  trainer_.set_reward(&cost_reward_);
   // At least the final Phase-1 episode always calibrates.
   calibration_start_ = std::min(
       episodes - 1,
@@ -84,7 +81,7 @@ void BootstrapTrainer::RunPhase1(
 void BootstrapTrainer::SwitchToPhase2() {
   switch (config_.switch_mode) {
     case BootstrapSwitchMode::kUnscaled:
-      env_->set_reward(&latency_reward_);
+      trainer_.set_reward(&latency_reward_);
       break;
     case BootstrapSwitchMode::kScaledTransfer:
       trainer_.agent().ResetOptimizerState();
@@ -92,7 +89,7 @@ void BootstrapTrainer::SwitchToPhase2() {
     case BootstrapSwitchMode::kScaled:
       HFQ_CHECK_MSG(have_ranges_, "Phase 1 must run before Phase 2");
       scaled_reward_.Calibrate(cost_min_, cost_max_, lat_min_, lat_max_);
-      env_->set_reward(&scaled_reward_);
+      trainer_.set_reward(&scaled_reward_);
       break;
   }
 }

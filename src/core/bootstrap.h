@@ -57,8 +57,8 @@ struct BootstrapEpisodeStats {
 /// Runs two-phase bootstrapped training over a FullPipelineEnv.
 class BootstrapTrainer {
  public:
-  /// `env` and `engine` must outlive the trainer. The env's reward signal
-  /// is managed by the trainer (do not set it externally).
+  /// `env` and `engine` must outlive the trainer, which owns the rewards
+  /// and switches them between the phases.
   BootstrapTrainer(FullPipelineEnv* env, Engine* engine,
                    BootstrapConfig config, uint64_t seed);
 
@@ -78,16 +78,17 @@ class BootstrapTrainer {
                      on_episode = nullptr);
 
   PolicyGradientAgent& agent() { return trainer_.agent(); }
+  /// The reward the current phase trains on.
+  RewardSignal* reward() const { return trainer_.reward(); }
   const ScaledLatencyReward& scaled_reward() const { return scaled_reward_; }
 
  private:
-  /// Trains one phase on the env's current reward; the worker harvests
+  /// Trains one phase on the current reward; the worker harvests
   /// each plan's cost and simulated latency for the stats.
   void RunPhase(const std::vector<Query>& workload, int episodes, int phase,
                 const std::function<void(const BootstrapEpisodeStats&)>&
                     on_episode);
 
-  FullPipelineEnv* env_;
   Engine* engine_;
   BootstrapConfig config_;
   NegLogCostReward cost_reward_;

@@ -28,7 +28,7 @@ Result<int> DemonstrationLearner::CollectDemonstrations(
   const int num_workers = std::max(1, config_.num_rollout_workers);
   while (static_cast<int>(worker_envs_.size()) < num_workers - 1) {
     worker_envs_.push_back(std::make_unique<FullPipelineEnv>(
-        env_->featurizer(), env_->expert(), env_->reward(), env_->config()));
+        env_->featurizer(), env_->expert(), env_->config()));
   }
   std::vector<FullPipelineEnv*> envs = {env_};
   for (auto& worker_env : worker_envs_) {

@@ -61,9 +61,9 @@ struct LfdEpisodeStats {
 /// Drives the full LfD lifecycle over a FullPipelineEnv.
 class DemonstrationLearner {
  public:
-  /// `env` and `engine` must outlive the learner. The env's reward signal
-  /// is not used for learning (the predictor regresses log-latency), but
-  /// episodes still finish plans through it.
+  /// `env` and `engine` must outlive the learner. The predictor regresses
+  /// each plan's simulated log-latency (LatencyTarget), so no reward
+  /// signal is involved.
   DemonstrationLearner(FullPipelineEnv* env, Engine* engine, LfdConfig config,
                        uint64_t seed);
 

@@ -35,7 +35,8 @@ struct EngineOptions {
 };
 
 /// One database + everything built on top of it. Create once, share across
-/// experiments (the oracle memoizes per query name).
+/// experiments (the oracle memoizes per query name and structure, so
+/// repeat queries are cheap).
 class Engine {
  public:
   /// Builds the synthetic IMDB-like database and the full stack.

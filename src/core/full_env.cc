@@ -1,6 +1,7 @@
 #include "core/full_env.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/check.h"
 
@@ -72,24 +73,18 @@ PipelineStages PipelineStages::Prefix(int k) {
 
 FullPipelineEnv::FullPipelineEnv(RejoinFeaturizer* featurizer,
                                  TraditionalOptimizer* expert,
-                                 RewardSignal* reward, FullEnvConfig config)
-    : featurizer_(featurizer),
-      expert_(expert),
-      reward_(reward),
-      config_(config) {
-  HFQ_CHECK(featurizer != nullptr && expert != nullptr && reward != nullptr);
+                                 FullEnvConfig config)
+    : featurizer_(featurizer), expert_(expert), config_(config) {
+  HFQ_CHECK(featurizer != nullptr && expert != nullptr);
 }
 
 void FullPipelineEnv::SetQuery(const Query* query) {
   HFQ_CHECK(query != nullptr);
   HFQ_CHECK(query->num_relations() <= featurizer_->max_relations());
+  static std::atomic<uint64_t> next_query_id{1};
   query_ = query;
+  query_id_ = next_query_id.fetch_add(1, std::memory_order_relaxed);
   stage_ = Stage::kDone;
-}
-
-void FullPipelineEnv::set_reward(RewardSignal* reward) {
-  HFQ_CHECK(reward != nullptr);
-  reward_ = reward;
 }
 
 int FullPipelineEnv::state_dim() const {
@@ -268,7 +263,7 @@ void FullPipelineEnv::SkipTrivialDecisions() {
         break;
       }
       case Stage::kDone:
-        FinishEpisode();
+        final_plan_ = BuildPlan();
         return;
     }
   }
@@ -284,6 +279,7 @@ std::vector<double> FullPipelineEnv::StateVector() const {
   } else if (tree_ != nullptr) {
     subtrees.push_back(tree_.get());
   }
+  feat_cache_.Bind(query_id_);
   std::vector<double> features =
       featurizer_->Featurize(*query_, subtrees, &feat_cache_);
 
@@ -340,10 +336,9 @@ std::vector<bool> FullPipelineEnv::ActionMask() const {
     for (int x = 0; x < live; ++x) {
       for (int y = 0; y < live; ++y) {
         if (x == y) continue;
-        bool connected =
-            !query_->JoinPredsBetween(subtrees_[static_cast<size_t>(x)]->rels,
-                                      subtrees_[static_cast<size_t>(y)]->rels)
-                 .empty();
+        const bool connected = query_->HasJoinPredBetween(
+            subtrees_[static_cast<size_t>(x)]->rels,
+            subtrees_[static_cast<size_t>(y)]->rels);
         if (connected) {
           any_connected = true;
           mask[static_cast<size_t>(x * n + y)] = true;
@@ -380,10 +375,9 @@ std::vector<bool> FullPipelineEnv::ActionMask() const {
   return mask;
 }
 
-StepResult FullPipelineEnv::Step(int action) {
+void FullPipelineEnv::Step(int action) {
   HFQ_CHECK(!Done());
   const int n = featurizer_->max_relations();
-  StepResult result;
 
   switch (stage_) {
     case Stage::kJoinOrder: {
@@ -424,11 +418,6 @@ StepResult FullPipelineEnv::Step(int action) {
   }
 
   SkipTrivialDecisions();
-  if (Done()) {
-    result.done = true;
-    result.reward = last_reward_;
-  }
-  return result;
 }
 
 bool FullPipelineEnv::Done() const {
@@ -436,9 +425,10 @@ bool FullPipelineEnv::Done() const {
 }
 
 std::unique_ptr<SearchEnv> FullPipelineEnv::CloneSearch() const {
-  auto clone = std::make_unique<FullPipelineEnv>(featurizer_, expert_,
-                                                 reward_, config_);
+  auto clone =
+      std::make_unique<FullPipelineEnv>(featurizer_, expert_, config_);
   clone->query_ = query_;
+  clone->query_id_ = query_id_;
   clone->stage_ = stage_;
   clone->subtrees_.reserve(subtrees_.size());
   for (const auto& tree : subtrees_) {
@@ -456,7 +446,6 @@ std::unique_ptr<SearchEnv> FullPipelineEnv::CloneSearch() const {
   clone->access_cursor_ = access_cursor_;
   clone->join_op_cursor_ = join_op_cursor_;
   if (final_plan_ != nullptr) clone->final_plan_ = final_plan_->Clone();
-  clone->last_reward_ = last_reward_;
   return clone;
 }
 
@@ -468,9 +457,9 @@ bool FullPipelineEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   // Equivalent to CloneSearch into existing storage.
   featurizer_ = src->featurizer_;
   expert_ = src->expert_;
-  reward_ = src->reward_;
   config_ = src->config_;
   query_ = src->query_;
+  query_id_ = src->query_id_;
   stage_ = src->stage_;
   subtrees_.clear();
   subtrees_.reserve(src->subtrees_.size());
@@ -493,7 +482,6 @@ bool FullPipelineEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   join_op_cursor_ = src->join_op_cursor_;
   final_plan_ =
       src->final_plan_ != nullptr ? src->final_plan_->Clone() : nullptr;
-  last_reward_ = src->last_reward_;
   return true;
 }
 
@@ -618,12 +606,6 @@ PlanNodePtr FullPipelineEnv::BuildPlan() {
     }
   }
   return plan;
-}
-
-double FullPipelineEnv::FinishEpisode() {
-  final_plan_ = BuildPlan();
-  last_reward_ = reward_->Score(*query_, final_plan_.get());
-  return last_reward_;
 }
 
 Result<Episode> FullPipelineEnv::ExpertEpisode(const Query& query,

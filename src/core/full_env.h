@@ -4,14 +4,15 @@
 // selection. Any suffix of the pipeline can be delegated to the traditional
 // optimizer (PipelineStages), which is exactly what the incremental
 // pipeline curriculum (Section 5.3.1) needs: ReJOIN is this environment
-// with only the join-order stage enabled.
+// with only the join-order stage enabled. The env builds and annotates the
+// plan and computes no reward: the learners that train on one score
+// FinalPlan() themselves (core/pg_trainer.h, rl/teacher_loop.h).
 #ifndef HFQ_CORE_FULL_ENV_H_
 #define HFQ_CORE_FULL_ENV_H_
 
 #include <memory>
 #include <vector>
 
-#include "core/reward.h"
 #include "optimizer/optimizer.h"
 #include "rejoin/featurizer.h"
 #include "rl/env.h"
@@ -57,20 +58,21 @@ class FullPipelineEnv : public SearchEnv {
  public:
   /// All pointers must outlive the env.
   FullPipelineEnv(RejoinFeaturizer* featurizer, TraditionalOptimizer* expert,
-                  RewardSignal* reward, FullEnvConfig config = FullEnvConfig());
+                  FullEnvConfig config = FullEnvConfig());
 
-  /// Selects the query for subsequent episodes.
+  /// Selects the query for subsequent episodes. Each call draws a
+  /// process-wide unique id that clones and pooled copies share, so the
+  /// featurization cache is never read for another query, whatever its
+  /// name or address.
   void SetQuery(const Query* query);
 
-  /// Curriculum hooks: change stage set / reward between episodes.
+  /// Curriculum hook: change the stage set between episodes.
   void set_stages(PipelineStages stages) { config_.stages = stages; }
   PipelineStages stages() const { return config_.stages; }
-  void set_reward(RewardSignal* reward);
-  RewardSignal* reward() { return reward_; }
 
   /// Collaborator accessors, exposed so trainers can build independent
-  /// per-worker env clones (same featurizer/expert/reward wiring) for
-  /// parallel rollout collection.
+  /// per-worker env clones (same featurizer/expert wiring) for parallel
+  /// rollout collection.
   RejoinFeaturizer* featurizer() const { return featurizer_; }
   TraditionalOptimizer* expert() const { return expert_; }
   const FullEnvConfig& config() const { return config_; }
@@ -80,13 +82,13 @@ class FullPipelineEnv : public SearchEnv {
   int action_dim() const override;
   std::vector<double> StateVector() const override;
   std::vector<bool> ActionMask() const override;
-  StepResult Step(int action) override;
+  void Step(int action) override;
   bool Done() const override;
 
   /// Forks the in-flight episode — query, stage cursor, partial join
-  /// forest / decided operators all deep-copied; featurizer, expert and
-  /// reward are shared (thread-safe substrate). Enables prefix expansion
-  /// by the plan-search layer.
+  /// forest / decided operators all deep-copied; featurizer and expert are
+  /// shared (thread-safe substrate). Enables prefix expansion by the
+  /// plan-search layer.
   std::unique_ptr<SearchEnv> CloneSearch() const override;
 
   /// The finished plan's cost-model cost (valid once Done()) — the
@@ -126,13 +128,13 @@ class FullPipelineEnv : public SearchEnv {
                             PlanNodePtr right, int decision_idx);
   /// Most selective selection predicate on `rel` servable by `kind`.
   int PickIndexPredicate(int rel, IndexKind kind) const;
-  double FinishEpisode();
 
   RejoinFeaturizer* featurizer_;
   TraditionalOptimizer* expert_;
-  RewardSignal* reward_;
   FullEnvConfig config_;
   const Query* query_ = nullptr;
+  /// The SetQuery call query_ came from (see SetQuery).
+  uint64_t query_id_ = 0;
 
   Stage stage_ = Stage::kDone;
   // Join-order phase state.
@@ -148,12 +150,11 @@ class FullPipelineEnv : public SearchEnv {
   int access_cursor_ = 0;
   int join_op_cursor_ = 0;
   PlanNodePtr final_plan_;
-  double last_reward_ = 0.0;
-  /// Query-static featurization scratch (mutable: StateVector is const but
-  /// warms the cache). Deliberately not copied by CloneSearch /
-  /// TryCopySearchStateFrom: pooled envs keep their own warm cache, and a
-  /// cold cache only costs one estimator round-trip, while copying the map
-  /// on every fork would cost more than it saves.
+  /// Query-static featurization scratch, bound to query_id_ (mutable:
+  /// StateVector is const but warms the cache). Deliberately not copied by
+  /// CloneSearch / TryCopySearchStateFrom: pooled envs keep their own warm
+  /// cache, and a cold cache only costs one estimator round-trip, while
+  /// copying the map on every fork would cost more than it saves.
   mutable FeaturizeCache feat_cache_;
 };
 

@@ -41,11 +41,8 @@ HandsFreeOptimizer::HandsFreeOptimizer(Engine* engine, HandsFreeConfig config)
       &engine_->catalog(), &engine_->cost_model(), geqo_options);
   featurizer_ = std::make_unique<RejoinFeaturizer>(config_.max_relations,
                                                    &engine_->estimator());
-  latency_reward_ = std::make_unique<NegLogLatencyReward>(
-      &engine_->latency(), &engine_->cost_model());
   env_ = std::make_unique<FullPipelineEnv>(featurizer_.get(),
-                                           &engine_->expert(),
-                                           latency_reward_.get());
+                                           &engine_->expert());
   switch (config_.strategy) {
     case TrainingStrategy::kLearningFromDemonstration:
       lfd_ = std::make_unique<DemonstrationLearner>(env_.get(), engine_,
@@ -61,9 +58,11 @@ HandsFreeOptimizer::HandsFreeOptimizer(Engine* engine, HandsFreeConfig config)
     case TrainingStrategy::kIncrementalHybrid:
       curriculum_generator_ = std::make_unique<WorkloadGenerator>(
           &engine_->catalog(), config_.seed ^ 0xC0FFEE);
+      latency_reward_ =
+          std::make_unique<NegLogLatencyReward>(&engine_->latency());
       incremental_ = std::make_unique<IncrementalTrainer>(
-          env_.get(), curriculum_generator_.get(), config_.incremental_pg,
-          /*episodes_per_update=*/8, config_.seed,
+          env_.get(), latency_reward_.get(), curriculum_generator_.get(),
+          config_.incremental_pg, /*episodes_per_update=*/8, config_.seed,
           config_.num_rollout_workers);
       frozen_policy_ = std::make_unique<AgentPolicy>(&incremental_->agent());
       break;
@@ -145,8 +144,11 @@ Status HandsFreeOptimizer::RefineWithTeacher(const std::vector<Query>& workload,
 
   // The student is the active strategy backend's model — the same object
   // frozen_policy_ reads, so the loop's greedy evaluation always sees the
-  // weights the student just trained.
+  // weights the student just trained. A policy-gradient student's value
+  // head regresses each replayed demo's return under its trainer's current
+  // reward; the LfD predictor regresses demo_target instead.
   std::unique_ptr<TeacherStudent> student;
+  RewardSignal* demo_reward = nullptr;
   switch (config_.strategy) {
     case TrainingStrategy::kLearningFromDemonstration:
       student = std::make_unique<PredictorTeacherStudent>(
@@ -154,9 +156,11 @@ Status HandsFreeOptimizer::RefineWithTeacher(const std::vector<Query>& workload,
       break;
     case TrainingStrategy::kCostModelBootstrapping:
       student = std::make_unique<AgentTeacherStudent>(&bootstrap_->agent());
+      demo_reward = bootstrap_->reward();
       break;
     case TrainingStrategy::kIncrementalHybrid:
       student = std::make_unique<AgentTeacherStudent>(&incremental_->agent());
+      demo_reward = latency_reward_.get();
       break;
   }
 
@@ -184,6 +188,11 @@ Status HandsFreeOptimizer::RefineWithTeacher(const std::vector<Query>& workload,
   task.policy = frozen_policy_.get();
   task.student = student.get();
   task.pool = teacher_pool_.get();
+  if (demo_reward != nullptr) {
+    task.demo_reward = [this, &workload, demo_reward](size_t i) {
+      return demo_reward->Score(workload[i], *env_->FinalPlan());
+    };
+  }
   if (config_.strategy == TrainingStrategy::kLearningFromDemonstration) {
     // The predictor regresses log10 latency (LatencyTarget), not the
     // episode return: NegLogLatencyReward is -log10(ms), a different
@@ -352,7 +361,7 @@ Result<PlanNodePtr> HandsFreeOptimizer::PlanOnEnv(
 
 std::unique_ptr<FullPipelineEnv> HandsFreeOptimizer::MakeWorkerEnv() const {
   auto env = std::make_unique<FullPipelineEnv>(
-      env_->featurizer(), env_->expert(), env_->reward(), env_->config());
+      env_->featurizer(), env_->expert(), env_->config());
   env->set_stages(env_->stages());
   return env;
 }

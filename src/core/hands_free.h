@@ -266,6 +266,7 @@ class HandsFreeOptimizer {
   std::unique_ptr<TraditionalOptimizer> dp_baseline_;
   std::unique_ptr<TraditionalOptimizer> geqo_baseline_;
   std::unique_ptr<RejoinFeaturizer> featurizer_;
+  /// The incremental strategy's training reward (null otherwise).
   std::unique_ptr<NegLogLatencyReward> latency_reward_;
   std::unique_ptr<FullPipelineEnv> env_;
   /// Strategy-agnostic frozen inference view over the active backend's

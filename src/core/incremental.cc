@@ -155,13 +155,15 @@ std::vector<CurriculumPhase> BuildCurriculum(CurriculumKind kind,
 }
 
 IncrementalTrainer::IncrementalTrainer(FullPipelineEnv* env,
+                                       RewardSignal* reward,
                                        WorkloadGenerator* generator,
                                        PolicyGradientConfig pg,
                                        int episodes_per_update, uint64_t seed,
                                        int num_rollout_workers)
     : env_(env),
       generator_(generator),
-      trainer_(env, pg, episodes_per_update, num_rollout_workers, seed) {
+      trainer_(env, reward, pg, episodes_per_update, num_rollout_workers,
+               seed) {
   HFQ_CHECK(env != nullptr && generator != nullptr);
 }
 

@@ -59,16 +59,18 @@ struct CurriculumEpisodeStats {
 };
 
 /// Trains one PolicyGradientAgent through a curriculum over a
-/// FullPipelineEnv. Workloads are drawn per phase from the generator so
-/// each phase sees queries matching its relation cap.
+/// FullPipelineEnv, every phase on one reward. Workloads are drawn per
+/// phase from the generator so each phase sees queries matching its
+/// relation cap.
 class IncrementalTrainer {
  public:
-  /// `env` and `generator` must outlive the trainer. `num_rollout_workers`
-  /// is PolicyGradientTrainer's: 1 collects serially, N > 1 is
-  /// deterministic for a fixed (seed, N).
-  IncrementalTrainer(FullPipelineEnv* env, WorkloadGenerator* generator,
-                     PolicyGradientConfig pg, int episodes_per_update,
-                     uint64_t seed, int num_rollout_workers = 1);
+  /// `env`, `reward` and `generator` must outlive the trainer.
+  /// `num_rollout_workers` is PolicyGradientTrainer's: 1 collects serially,
+  /// N > 1 is deterministic for a fixed (seed, N).
+  IncrementalTrainer(FullPipelineEnv* env, RewardSignal* reward,
+                     WorkloadGenerator* generator, PolicyGradientConfig pg,
+                     int episodes_per_update, uint64_t seed,
+                     int num_rollout_workers = 1);
 
   /// Runs all phases; `on_episode` fires per episode (in episode order; in
   /// parallel mode, after the episode's batch finished collecting).

@@ -8,10 +8,12 @@ namespace hfq {
 namespace {
 
 /// One sampled episode of `query` on `env`, drawing actions from the frozen
-/// `agent` through the thread-safe inference path.
+/// `agent` through the thread-safe inference path. The finished plan is
+/// scored once and the score becomes the last transition's reward (an
+/// episode without decisions has nowhere to put one, so it is not scored).
 Episode RunSampledEpisode(const PolicyGradientAgent& agent,
-                          FullPipelineEnv* env, const Query& query, Rng* rng,
-                          MlpWorkspace* ws) {
+                          RewardSignal* reward, FullPipelineEnv* env,
+                          const Query& query, Rng* rng, MlpWorkspace* ws) {
   env->SetQuery(&query);
   env->Reset();
   Episode episode;
@@ -20,9 +22,11 @@ Episode RunSampledEpisode(const PolicyGradientAgent& agent,
     t.state = env->StateVector();
     t.mask = env->ActionMask();
     t.action = agent.SampleAction(t.state, t.mask, rng, ws, &t.old_prob);
-    StepResult step = env->Step(t.action);
-    t.reward = step.reward;
+    env->Step(t.action);
     episode.steps.push_back(std::move(t));
+  }
+  if (!episode.steps.empty()) {
+    episode.steps.back().reward = reward->Score(query, *env->FinalPlan());
   }
   return episode;
 }
@@ -30,20 +34,28 @@ Episode RunSampledEpisode(const PolicyGradientAgent& agent,
 }  // namespace
 
 PolicyGradientTrainer::PolicyGradientTrainer(FullPipelineEnv* env,
+                                             RewardSignal* reward,
                                              PolicyGradientConfig pg,
                                              int episodes_per_update,
                                              int num_rollout_workers,
                                              uint64_t seed)
     : env_(env),
+      reward_(reward),
       agent_(env->state_dim(), env->action_dim(), pg, seed),
       episodes_per_update_(episodes_per_update) {
+  HFQ_CHECK(reward != nullptr);
   HFQ_CHECK(num_rollout_workers >= 1);
   for (int w = 1; w < num_rollout_workers; ++w) {
     worker_envs_.push_back(std::make_unique<FullPipelineEnv>(
-        env->featurizer(), env->expert(), env->reward(), env->config()));
+        env->featurizer(), env->expert(), env->config()));
     worker_rngs_.push_back(
         std::make_unique<Rng>(seed + static_cast<uint64_t>(w)));
   }
+}
+
+void PolicyGradientTrainer::set_reward(RewardSignal* reward) {
+  HFQ_CHECK(reward != nullptr);
+  reward_ = reward;
 }
 
 void PolicyGradientTrainer::Train(const std::vector<Query>& workload,
@@ -53,11 +65,8 @@ void PolicyGradientTrainer::Train(const std::vector<Query>& workload,
   std::vector<FullPipelineEnv*> envs = {env_};
   std::vector<Rng*> rngs = {&agent_.rng()};
   for (size_t w = 0; w < worker_envs_.size(); ++w) {
-    // Curriculum phases and the bootstrap reward switch change the
-    // primary env between calls; the reward signals are thread-safe and
-    // shared.
+    // Curriculum phases change the primary env's stages between calls.
     worker_envs_[w]->set_stages(env_->stages());
-    worker_envs_[w]->set_reward(env_->reward());
     envs.push_back(worker_envs_[w].get());
     rngs.push_back(worker_rngs_[w].get());
   }
@@ -85,8 +94,8 @@ void PolicyGradientTrainer::Train(const std::vector<Query>& workload,
       const size_t w = static_cast<size_t>(worker);
       MlpWorkspace ws;
       for (size_t i = w; i < collected.size(); i += num_workers) {
-        collected[i] =
-            RunSampledEpisode(agent_, envs[w], *queries[i], rngs[w], &ws);
+        collected[i] = RunSampledEpisode(agent_, reward_, envs[w],
+                                         *queries[i], rngs[w], &ws);
         if (harvest) {
           harvest(done + static_cast<int>(i), *envs[w], collected[i]);
         }

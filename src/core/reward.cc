@@ -7,45 +7,33 @@
 
 namespace hfq {
 
-ReciprocalCostReward::ReciprocalCostReward(CostModel* cost_model,
-                                           double scale)
-    : cost_model_(cost_model), scale_(scale) {
-  HFQ_CHECK(cost_model != nullptr);
+ReciprocalCostReward::ReciprocalCostReward(double scale) : scale_(scale) {}
+
+double ReciprocalCostReward::Score(const Query& query, const PlanNode& plan) {
+  (void)query;
+  last_cost_.store(plan.est_cost);
+  return scale_ / std::max(1.0, plan.est_cost);
 }
 
-double ReciprocalCostReward::Score(const Query& query, PlanNode* plan) {
-  const double cost = cost_model_->Annotate(query, plan);
-  last_cost_.store(cost);
-  return scale_ / std::max(1.0, cost);
+double NegLogCostReward::Score(const Query& query, const PlanNode& plan) {
+  (void)query;
+  last_cost_.store(plan.est_cost);
+  return -std::log10(std::max(1.0, plan.est_cost));
 }
 
-NegLogCostReward::NegLogCostReward(CostModel* cost_model)
-    : cost_model_(cost_model) {
-  HFQ_CHECK(cost_model != nullptr);
-}
-
-double NegLogCostReward::Score(const Query& query, PlanNode* plan) {
-  const double cost = cost_model_->Annotate(query, plan);
-  last_cost_.store(cost);
-  return -std::log10(std::max(1.0, cost));
-}
-
-NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator,
-                                         CostModel* cost_model)
-    : simulator_(simulator), cost_model_(cost_model) {
+NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator)
+    : simulator_(simulator) {
   HFQ_CHECK(simulator != nullptr);
 }
 
-double NegLogLatencyReward::Score(const Query& query, PlanNode* plan) {
-  if (cost_model_ != nullptr) cost_model_->Annotate(query, plan);
-  const double latency_ms = simulator_->SimulateMs(query, *plan);
+double NegLogLatencyReward::Score(const Query& query, const PlanNode& plan) {
+  const double latency_ms = simulator_->SimulateMs(query, plan);
   last_latency_ms_.store(latency_ms);
   return -std::log10(std::max(1.0, latency_ms));
 }
 
-ScaledLatencyReward::ScaledLatencyReward(LatencySimulator* simulator,
-                                         CostModel* cost_model)
-    : simulator_(simulator), cost_model_(cost_model) {
+ScaledLatencyReward::ScaledLatencyReward(LatencySimulator* simulator)
+    : simulator_(simulator) {
   HFQ_CHECK(simulator != nullptr);
 }
 
@@ -70,9 +58,8 @@ double ScaledLatencyReward::ScaleLatency(double latency_ms) const {
          (latency_ms - latency_min_) / denom * (cost_max_ - cost_min_);
 }
 
-double ScaledLatencyReward::Score(const Query& query, PlanNode* plan) {
-  if (cost_model_ != nullptr) cost_model_->Annotate(query, plan);
-  const double latency_ms = simulator_->SimulateMs(query, *plan);
+double ScaledLatencyReward::Score(const Query& query, const PlanNode& plan) {
+  const double latency_ms = simulator_->SimulateMs(query, plan);
   last_latency_ms_.store(latency_ms);
   double scaled = std::max(1.0, ScaleLatency(latency_ms));
   return -std::log10(scaled);

@@ -13,23 +13,25 @@
 #include <atomic>
 #include <string>
 
-#include "cost/cost_model.h"
 #include "exec/latency_model.h"
 #include "plan/physical_plan.h"
 
 namespace hfq {
 
-/// Scores completed physical plans; higher reward = better plan.
-/// Implementations here are thread-safe: Score only touches per-call state
-/// plus an atomic "last metric", so one signal instance may be shared by
-/// concurrent rollout workers (LastMetric then reports *a* recent score,
-/// which is only meaningful for single-threaded instrumentation).
+/// Scores completed, annotated physical plans; higher reward = better plan.
+/// Only learners call it, once per finished training episode: the
+/// policy-gradient trainer (core/pg_trainer.h) and the teacher loop's demo
+/// replay (rl/teacher_loop.h). Implementations here are thread-safe: Score
+/// reads the plan it is given and touches only per-call state plus an
+/// atomic "last metric", so one signal instance may be shared by concurrent
+/// rollout workers (LastMetric then reports *a* recent score, which is only
+/// meaningful for single-threaded instrumentation).
 class RewardSignal {
  public:
   virtual ~RewardSignal() = default;
 
-  /// Reward for the (annotated or annotatable) plan. May annotate the plan.
-  virtual double Score(const Query& query, PlanNode* plan) = 0;
+  /// Reward for `plan`, annotated by the cost model that built it.
+  virtual double Score(const Query& query, const PlanNode& plan) = 0;
 
   /// The raw metric (cost units or milliseconds) behind the last Score —
   /// for instrumentation and calibration.
@@ -38,48 +40,43 @@ class RewardSignal {
   virtual std::string name() const = 0;
 };
 
-/// reward = scale / cost — the ReJOIN case-study reward (1/M(t)).
+/// reward = scale / cost — the ReJOIN case-study reward (1/M(t)), read from
+/// the plan's est_cost.
 class ReciprocalCostReward : public RewardSignal {
  public:
-  /// `cost_model` must outlive the signal.
-  explicit ReciprocalCostReward(CostModel* cost_model, double scale = 1e5);
-  double Score(const Query& query, PlanNode* plan) override;
+  explicit ReciprocalCostReward(double scale = 1e5);
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_cost_.load(); }
   std::string name() const override { return "reciprocal_cost"; }
 
  private:
-  CostModel* cost_model_;
   double scale_;
   std::atomic<double> last_cost_{0.0};
 };
 
 /// reward = -log10(cost) — a range-stable cost reward for the Section 5
-/// experiments.
+/// experiments, read from the plan's est_cost.
 class NegLogCostReward : public RewardSignal {
  public:
-  explicit NegLogCostReward(CostModel* cost_model);
-  double Score(const Query& query, PlanNode* plan) override;
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_cost_.load(); }
   std::string name() const override { return "neg_log_cost"; }
 
  private:
-  CostModel* cost_model_;
   std::atomic<double> last_cost_{0.0};
 };
 
 /// reward = -log10(simulated latency ms) — the "true" objective.
 class NegLogLatencyReward : public RewardSignal {
  public:
-  /// `simulator` must outlive the signal. `cost_model` (optional) is used
-  /// only to annotate plans for diagnostics.
-  NegLogLatencyReward(LatencySimulator* simulator, CostModel* cost_model);
-  double Score(const Query& query, PlanNode* plan) override;
+  /// `simulator` must outlive the signal.
+  explicit NegLogLatencyReward(LatencySimulator* simulator);
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_latency_ms_.load(); }
   std::string name() const override { return "neg_log_latency"; }
 
  private:
   LatencySimulator* simulator_;
-  CostModel* cost_model_;
   std::atomic<double> last_latency_ms_{0.0};
 };
 
@@ -88,7 +85,8 @@ class NegLogLatencyReward : public RewardSignal {
 /// instances behave like NegLogLatencyReward.
 class ScaledLatencyReward : public RewardSignal {
  public:
-  ScaledLatencyReward(LatencySimulator* simulator, CostModel* cost_model);
+  /// `simulator` must outlive the signal.
+  explicit ScaledLatencyReward(LatencySimulator* simulator);
 
   /// Installs the Phase-1 observation ranges (paper: Cmin/Cmax are the
   /// min/max observed optimizer costs, Lmin/Lmax the min/max observed
@@ -101,13 +99,12 @@ class ScaledLatencyReward : public RewardSignal {
   /// The scaled value r_l for a raw latency (exposed for tests).
   double ScaleLatency(double latency_ms) const;
 
-  double Score(const Query& query, PlanNode* plan) override;
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_latency_ms_.load(); }
   std::string name() const override { return "scaled_latency"; }
 
  private:
   LatencySimulator* simulator_;
-  CostModel* cost_model_;
   bool calibrated_ = false;
   double cost_min_ = 0.0, cost_max_ = 1.0;
   double latency_min_ = 0.0, latency_max_ = 1.0;

@@ -145,8 +145,7 @@ Result<EvalReport> ScenarioEvaluator::Run() {
       result.has_dp = with_dp;
       result.more_rows.resize(num_modes - 1);
       for (int qi = 0; qi < config_.queries_per_cell; ++qi) {
-        // Names are unique per (engine, cell, query): the oracle and
-        // estimator memoize per name and die on structural aliasing.
+        // Names are unique per (engine, cell, query).
         auto query = gen.GenerateTopologyQuery(
             cell.topology, cell.num_relations,
             StrFormat("s%llu_c%d_q%d",

@@ -3,24 +3,50 @@
 // connected attachment; selection + order crossover + swap mutation evolve
 // the pool.
 #include <algorithm>
+#include <unordered_map>
 
 #include "optimizer/optimizer.h"
 #include "util/check.h"
 
 namespace hfq {
 
+// What every decoded permutation of one enumeration reads of its query,
+// looked up once: each relation's access path (cloned into every plan) and
+// each joined relation set's estimated rows. The memos behind
+// BestAccessPath and the estimator hash the whole query on every call, and
+// a pool of 128 plus 300 generations decodes hundreds of plans.
+struct TraditionalOptimizer::GeqoLookups {
+  std::vector<PlanNodePtr> access;
+  std::unordered_map<RelSet, double> rows;
+};
+
 PlanNodePtr TraditionalOptimizer::PlanFromPermutation(
-    const Query& query, const std::vector<int>& perm) {
+    const Query& query, const std::vector<int>& perm, GeqoLookups* lookups) {
+  // The cheapest operator for `outer` joined to `inner`, exactly as
+  // BestJoin picks it, with the output rows from the lookups.
+  auto join = [&](PlanNodePtr outer, PlanNodePtr inner) {
+    std::vector<int> preds = query.JoinPredsBetween(outer->rels, inner->rels);
+    const RelSet rels = outer->rels | inner->rels;
+    auto [it, inserted] = lookups->rows.try_emplace(rels, 0.0);
+    if (inserted) it->second = cost_model_->cards()->Rows(query, rels);
+    const double out_rows = it->second;
+    const JoinChoice choice = ChooseJoin(query, preds, out_rows,
+                                         JoinInputOf(*outer),
+                                         JoinInputOf(*inner));
+    return BuildJoin(query, choice, std::move(preds), out_rows,
+                     std::move(outer), std::move(inner));
+  };
+
   // Greedy connected attachment (Postgres gimme_tree): keep a forest; each
   // relation joins the first tree it is connected to, else starts a new
   // tree; finally any remaining trees are cross-joined.
   std::vector<PlanNodePtr> forest;
   for (int rel : perm) {
-    PlanNodePtr leaf = BestAccessPath(query, rel);
+    PlanNodePtr leaf = lookups->access[static_cast<size_t>(rel)]->Clone();
     bool attached = false;
     for (auto& tree : forest) {
-      if (!query.JoinPredsBetween(tree->rels, leaf->rels).empty()) {
-        tree = BestJoin(query, std::move(tree), std::move(leaf));
+      if (query.HasJoinPredBetween(tree->rels, leaf->rels)) {
+        tree = join(std::move(tree), std::move(leaf));
         attached = true;
         break;
       }
@@ -30,10 +56,8 @@ PlanNodePtr TraditionalOptimizer::PlanFromPermutation(
     for (size_t i = 0; i + 1 < forest.size();) {
       bool merged = false;
       for (size_t j = i + 1; j < forest.size(); ++j) {
-        if (!query.JoinPredsBetween(forest[i]->rels, forest[j]->rels)
-                 .empty()) {
-          forest[i] = BestJoin(query, std::move(forest[i]),
-                               std::move(forest[j]));
+        if (query.HasJoinPredBetween(forest[i]->rels, forest[j]->rels)) {
+          forest[i] = join(std::move(forest[i]), std::move(forest[j]));
           forest.erase(forest.begin() + static_cast<int64_t>(j));
           merged = true;
           break;
@@ -50,7 +74,7 @@ PlanNodePtr TraditionalOptimizer::PlanFromPermutation(
     PlanNodePtr a = std::move(forest[0]);
     PlanNodePtr b = std::move(forest[1]);
     forest.erase(forest.begin(), forest.begin() + 2);
-    forest.insert(forest.begin(), BestJoin(query, std::move(a), std::move(b)));
+    forest.insert(forest.begin(), join(std::move(a), std::move(b)));
   }
   return std::move(forest[0]);
 }
@@ -58,13 +82,17 @@ PlanNodePtr TraditionalOptimizer::PlanFromPermutation(
 Result<PlanNodePtr> TraditionalOptimizer::EnumerateGeqo(const Query& query) {
   const int n = query.num_relations();
   Rng rng(options_.geqo_seed ^ (static_cast<uint64_t>(n) << 32));
+  GeqoLookups lookups;
+  for (int rel = 0; rel < n; ++rel) {
+    lookups.access.push_back(BestAccessPath(query, rel));
+  }
 
   struct Individual {
     std::vector<int> perm;
     double fitness = 0.0;  // Plan cost; lower is better.
   };
   auto evaluate = [&](Individual* ind) {
-    PlanNodePtr plan = PlanFromPermutation(query, ind->perm);
+    PlanNodePtr plan = PlanFromPermutation(query, ind->perm, &lookups);
     ind->fitness = plan->est_cost;
   };
 
@@ -126,7 +154,7 @@ Result<PlanNodePtr> TraditionalOptimizer::EnumerateGeqo(const Query& query) {
       pool.begin(), pool.end(), [](const Individual& a, const Individual& b) {
         return a.fitness < b.fitness;
       });
-  return PlanFromPermutation(query, best->perm);
+  return PlanFromPermutation(query, best->perm, &lookups);
 }
 
 }  // namespace hfq

@@ -13,30 +13,25 @@ TraditionalOptimizer::TraditionalOptimizer(const Catalog* catalog,
   HFQ_CHECK(catalog != nullptr && cost_model != nullptr);
 }
 
-TraditionalOptimizer::AccessPathEntry&
-TraditionalOptimizer::GuardedAccessEntryLocked(const Query& query) {
-  // Always hash, like the estimator's memo guard: an address fast path
-  // would be defeated by stack reuse of same-named variants.
-  uint64_t fp = query.StructuralFingerprint();
-  auto it = access_cache_.try_emplace(query.name).first;
-  AccessPathEntry& entry = it->second;
-  if (entry.per_rel.empty()) {
-    entry.fingerprint = fp;
-    entry.per_rel.resize(static_cast<size_t>(query.num_relations()));
-  }
-  HFQ_CHECK_MSG(entry.fingerprint == fp,
-                ("access-path memo is keyed by query name, but two "
-                 "structurally different queries share the name '" +
-                 query.name + "'")
-                    .c_str());
-  return entry;
+JoinInput TraditionalOptimizer::JoinInputOf(const PlanNode& node) {
+  return JoinInput{node.est_rows, node.est_cost,
+                   node.IsScan() ? node.rel_idx : -1};
+}
+
+std::vector<PlanNodePtr>& TraditionalOptimizer::AccessEntryLocked(
+    const Query& query) {
+  // Always hash: an address fast path would be defeated by stack reuse of
+  // same-named variants.
+  auto [it, inserted] = access_cache_.try_emplace(
+      std::make_pair(query.name, query.StructuralFingerprint()));
+  if (inserted) it->second.resize(static_cast<size_t>(query.num_relations()));
+  return it->second;
 }
 
 PlanNodePtr TraditionalOptimizer::BestAccessPath(const Query& query,
                                                  int rel) {
   std::lock_guard<std::mutex> lock(access_mu_);
-  AccessPathEntry& entry = GuardedAccessEntryLocked(query);
-  PlanNodePtr& proto = entry.per_rel[static_cast<size_t>(rel)];
+  PlanNodePtr& proto = AccessEntryLocked(query)[static_cast<size_t>(rel)];
   if (proto == nullptr) proto = ComputeBestAccessPath(query, rel);
   return proto->Clone();
 }
@@ -85,12 +80,9 @@ PlanNodePtr TraditionalOptimizer::BestJoin(const Query& query,
       query.JoinPredsBetween(outer->rels, inner->rels);
   const double out_rows =
       cost_model_->cards()->Rows(query, outer->rels | inner->rels);
-  auto input = [](const PlanNode& node) {
-    return JoinInput{node.est_rows, node.est_cost,
-                     node.IsScan() ? node.rel_idx : -1};
-  };
-  const JoinChoice choice =
-      ChooseJoin(query, preds, out_rows, input(*outer), input(*inner));
+  const JoinChoice choice = ChooseJoin(query, preds, out_rows,
+                                       JoinInputOf(*outer),
+                                       JoinInputOf(*inner));
   return BuildJoin(query, choice, std::move(preds), out_rows,
                    std::move(outer), std::move(inner));
 }
@@ -190,16 +182,16 @@ Result<PlanNodePtr> TraditionalOptimizer::PhysicalizeJoinTree(
     PlanNodePtr scan = BestAccessPath(query, tree.rel_idx);
     return AddAggregateIfNeeded(query, std::move(scan));
   }
-  // All leaf access paths in one guarded memo pass: a single lock +
-  // fingerprint check instead of one per relation (plan search
-  // physicalizes many candidate trees per query, so this path is hot).
+  // All leaf access paths in one memo pass: a single lock + query hash
+  // instead of one per relation (plan search physicalizes many candidate
+  // trees per query, so this path is hot).
   std::vector<PlanNodePtr> access(
       static_cast<size_t>(query.num_relations()));
   {
     std::lock_guard<std::mutex> lock(access_mu_);
-    AccessPathEntry& entry = GuardedAccessEntryLocked(query);
+    std::vector<PlanNodePtr>& per_rel = AccessEntryLocked(query);
     for (int rel : RelSetMembers(tree.rels)) {
-      PlanNodePtr& proto = entry.per_rel[static_cast<size_t>(rel)];
+      PlanNodePtr& proto = per_rel[static_cast<size_t>(rel)];
       if (proto == nullptr) proto = ComputeBestAccessPath(query, rel);
       access[static_cast<size_t>(rel)] = proto->Clone();
     }

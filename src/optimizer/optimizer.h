@@ -93,11 +93,12 @@ class TraditionalOptimizer {
                                           const JoinTreeNode& tree);
 
   /// Cheapest access path (seq scan vs available index scans) for one
-  /// relation, annotated. Memoized per (query name, relation): the choice
-  /// depends only on the query, yet every PhysicalizeJoinTree call used to
-  /// recompute all of them — and plan search physicalizes dozens of
-  /// candidate trees per query. Returns a clone of the memoized prototype,
-  /// so results are bit-identical to the uncached computation.
+  /// relation, annotated. Memoized per (query name, structural
+  /// fingerprint, relation): the choice depends only on the query, yet
+  /// every PhysicalizeJoinTree call used to recompute all of them — and
+  /// plan search physicalizes dozens of candidate trees per query. Returns
+  /// a clone of the memoized prototype, so results are bit-identical to
+  /// the uncached computation.
   PlanNodePtr BestAccessPath(const Query& query, int rel);
 
   /// Drops the access-path memo (call when switching workloads to bound
@@ -131,37 +132,40 @@ class TraditionalOptimizer {
   const Catalog* catalog() const { return catalog_; }
 
  private:
-  struct AccessPathEntry;
+  /// The JoinInput of an annotated plan node.
+  static JoinInput JoinInputOf(const PlanNode& node);
 
   /// Uncached BestAccessPath body; fills the memo prototype.
   PlanNodePtr ComputeBestAccessPath(const Query& query, int rel);
 
-  /// Returns the memo entry for `query` (creating it if needed), with the
-  /// fingerprint aliasing guard applied. Caller must hold access_mu_.
-  AccessPathEntry& GuardedAccessEntryLocked(const Query& query);
+  /// The access-path memo entry of `query` (one prototype slot per
+  /// relation), created on first use. Caller must hold access_mu_.
+  std::vector<PlanNodePtr>& AccessEntryLocked(const Query& query);
 
   Result<PlanNodePtr> EnumerateDp(const Query& query);
   Result<PlanNodePtr> EnumerateGeqo(const Query& query);
 
+  /// What one GEQO enumeration looks up once (defined in geqo.cc).
+  struct GeqoLookups;
+
   /// Builds a plan from a relation permutation by greedy connected
   /// attachment (Postgres gimme_tree); shared by GEQO fitness and decoding.
   PlanNodePtr PlanFromPermutation(const Query& query,
-                                  const std::vector<int>& perm);
+                                  const std::vector<int>& perm,
+                                  GeqoLookups* lookups);
 
   const Catalog* catalog_;
   CostModel* cost_model_;
   OptimizerOptions options_;
 
-  /// Access-path memo, keyed by query name like the estimator's row memo;
-  /// the structural fingerprint dies on two different queries sharing a
-  /// name (same policy as CardinalityEstimator). Synchronized: parallel
-  /// rollout workers share one optimizer.
-  struct AccessPathEntry {
-    uint64_t fingerprint = 0;
-    std::vector<PlanNodePtr> per_rel;  // null until first computed
-  };
+  /// Access-path memo, keyed like the estimator's row memo by (query name,
+  /// structural fingerprint), so a reused name with another structure gets
+  /// its own entry. Each entry holds one prototype per relation, null
+  /// until first computed. Synchronized: parallel rollout workers share
+  /// one optimizer.
   std::mutex access_mu_;
-  std::map<std::string, AccessPathEntry> access_cache_;
+  std::map<std::pair<std::string, uint64_t>, std::vector<PlanNodePtr>>
+      access_cache_;
 };
 
 }  // namespace hfq

@@ -34,6 +34,15 @@ std::vector<int> Query::JoinPredsBetween(RelSet a, RelSet b) const {
   return out;
 }
 
+bool Query::HasJoinPredBetween(RelSet a, RelSet b) const {
+  for (const auto& j : joins) {
+    RelSet l = RelSetOf(j.left.rel_idx);
+    RelSet r = RelSetOf(j.right.rel_idx);
+    if (((l & a) && (r & b)) || ((l & b) && (r & a))) return true;
+  }
+  return false;
+}
+
 RelSet Query::NeighborsOf(int rel) const {
   RelSet out = 0;
   for (const auto& j : joins) {

@@ -41,6 +41,10 @@ struct Query {
   /// Indices of join predicates with one side in `a` and the other in `b`.
   std::vector<int> JoinPredsBetween(RelSet a, RelSet b) const;
 
+  /// True iff JoinPredsBetween(a, b) is non-empty; allocates nothing and
+  /// stops at the first connecting predicate.
+  bool HasJoinPredBetween(RelSet a, RelSet b) const;
+
   /// Relations adjacent to `rel` in the join graph.
   RelSet NeighborsOf(int rel) const;
 

@@ -71,8 +71,7 @@ std::vector<double> RejoinFeaturizer::Featurize(
       static_cast<size_t>(n) * static_cast<size_t>(n) +
       2 * static_cast<size_t>(n);
 
-  if (cache != nullptr && cache->query == &query &&
-      cache->query_name == query.name) {
+  if (cache != nullptr && !cache->static_blocks.empty()) {
     std::copy(cache->static_blocks.begin(), cache->static_blocks.end(),
               features.begin() + static_cast<ptrdiff_t>(offset));
     offset += static_len;
@@ -104,13 +103,10 @@ std::vector<double> RejoinFeaturizer::Featurize(
     offset += static_cast<size_t>(n);
 
     if (cache != nullptr) {
-      cache->query = &query;
-      cache->query_name = query.name;
       const auto begin =
           features.begin() + static_cast<ptrdiff_t>(offset - static_len);
       cache->static_blocks.assign(begin,
                                   begin + static_cast<ptrdiff_t>(static_len));
-      cache->subtree_rows.clear();
     }
   }
 

@@ -15,7 +15,7 @@
 #ifndef HFQ_REJOIN_FEATURIZER_H_
 #define HFQ_REJOIN_FEATURIZER_H_
 
-#include <string>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -32,14 +32,22 @@ namespace hfq {
 /// re-asks the (internally synchronized) estimator for all of them on
 /// every state featurization. Search featurizes dozens of states per
 /// query, so the cache turns all but the first of those round-trips into
-/// local reads. Self-invalidates when the query changes (pointer or name
-/// mismatch; estimator memos are keyed by query name with structural
-/// aliasing fatal elsewhere, so name identity is already authoritative).
-/// Not thread-safe: one cache per env, like MlpWorkspace.
+/// local reads. The caller binds the cache to one query with an id it
+/// never reuses for another query (the env: the id of its SetQuery call,
+/// which clones and pooled copies share); a new id drops the cached
+/// blocks. Not thread-safe: one cache per env, like MlpWorkspace.
 struct FeaturizeCache {
-  const Query* query = nullptr;
-  std::string query_name;
-  /// Blocks 2-4 exactly as Featurize lays them out, ready to copy.
+  /// Points the cache at the query identified by `id`.
+  void Bind(uint64_t id) {
+    if (id == query_id) return;
+    query_id = id;
+    static_blocks.clear();
+    subtree_rows.clear();
+  }
+
+  uint64_t query_id = 0;
+  /// Blocks 2-4 exactly as Featurize lays them out, ready to copy (empty
+  /// until the first featurization of the bound query).
   std::vector<double> static_blocks;
   /// Block 5 memo: subtree relation set -> log-scaled estimated rows.
   std::unordered_map<RelSet, double> subtree_rows;
@@ -64,9 +72,9 @@ class RejoinFeaturizer {
 
   /// Encodes the current state. `subtrees` are the episode's live subtrees
   /// in slot order; the query must have at most max_relations relations.
-  /// `cache`, when provided, is consulted and maintained as described on
-  /// FeaturizeCache; the returned vector is bit-identical with or without
-  /// it.
+  /// `cache`, when provided, must be bound to `query` (FeaturizeCache::Bind)
+  /// and is consulted and filled; the returned vector is bit-identical with
+  /// or without it.
   std::vector<double> Featurize(
       const Query& query,
       const std::vector<const JoinTreeNode*>& subtrees,

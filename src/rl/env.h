@@ -1,7 +1,10 @@
-// The reinforcement-learning environment interface (states, masked discrete
-// actions, terminal rewards) of the full-pipeline MDP (core/full_env.h),
-// whose join-order stage alone is ReJOIN's MDP, plus the branchable
-// extension (SearchEnv) that plan-time search (src/search) builds on.
+// The reinforcement-learning environment interface (states and masked
+// discrete actions) of the full-pipeline MDP (core/full_env.h), whose
+// join-order stage alone is ReJOIN's MDP, plus the branchable extension
+// (SearchEnv) that plan-time search (src/search) builds on. An episode
+// builds a plan and nothing more: the learners that train on a reward score
+// the finished episode themselves (core/pg_trainer.h, rl/teacher_loop.h),
+// so search, serving and evaluation never pay for one.
 #ifndef HFQ_RL_ENV_H_
 #define HFQ_RL_ENV_H_
 
@@ -10,15 +13,9 @@
 
 namespace hfq {
 
-/// Result of Environment::Step.
-struct StepResult {
-  double reward = 0.0;
-  bool done = false;
-};
-
 /// A fixed-dimensional episodic environment with per-state action masking.
 /// Lifecycle: Reset() -> [StateVector/ActionMask -> Step(a)]* until
-/// Step returns done.
+/// Done().
 class Environment {
  public:
   virtual ~Environment() = default;
@@ -40,9 +37,9 @@ class Environment {
   /// action must be valid unless the episode is done.
   virtual std::vector<bool> ActionMask() const = 0;
 
-  /// Applies action `a` (must be valid). Returns the reward and whether the
-  /// episode ended.
-  virtual StepResult Step(int action) = 0;
+  /// Applies action `a` (must be valid); Done() tells whether the episode
+  /// ended.
+  virtual void Step(int action) = 0;
 
   /// True once the episode has terminated.
   virtual bool Done() const = 0;
@@ -59,7 +56,7 @@ class SearchEnv : public Environment {
  public:
   /// Deep copy of this env including the in-flight episode state (same
   /// query, same partial-plan prefix). Collaborators (featurizers, cost
-  /// models, reward signals) are shared, not copied; the clone is an
+  /// models) are shared, not copied; the clone is an
   /// independent single-threaded object on top of the thread-safe shared
   /// substrate, so clones may step on different threads.
   virtual std::unique_ptr<SearchEnv> CloneSearch() const = 0;

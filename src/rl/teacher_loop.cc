@@ -147,11 +147,13 @@ Result<std::vector<TeacherIterationStats>> RunTeacherLoop(
         t.state = task.env->StateVector();
         t.mask = task.env->ActionMask();
         t.action = action;
-        StepResult step = task.env->Step(action);
-        t.reward = step.reward;
+        task.env->Step(action);
         demo.episode.steps.push_back(std::move(t));
       }
       HFQ_CHECK_MSG(task.env->Done(), "teacher demo ended before the episode");
+      if (task.demo_reward && !demo.episode.steps.empty()) {
+        demo.episode.steps.back().reward = task.demo_reward(i);
+      }
       demo.final_cost = task.env->FinalCost();
       demo.target = task.demo_target
                         ? task.demo_target(i, demo.episode, demo.final_cost)

@@ -136,11 +136,19 @@ struct TeacherLoopTask {
   /// Cross-iteration plan store; the caller owns it so it can persist and
   /// reuse discoveries across RunTeacherLoop calls.
   ExperiencePool* pool = nullptr;
+  /// Optional reward of the replayed plan of query i — the learner's
+  /// reward signal applied to the env's finished plan. Called once per
+  /// replayed demo, right after the replay, while `env` is Done() at that
+  /// plan; the score becomes the demo's last transition's reward, which
+  /// value heads regress. Never called during the teacher's search. Unset,
+  /// replayed transitions carry no reward (students that learn from
+  /// `demo_target` alone need none).
+  std::function<double(size_t)> demo_reward;
   /// Optional regression target for demo (query i, replayed episode,
-  /// final cost) — called immediately after the winning plan is replayed,
-  /// while `env` is Done() at that plan, so implementations may inspect
-  /// env outputs (e.g. the final physical plan). Defaults to the negated
-  /// episode return (lower is better, like SearchEnv::FinalCost).
+  /// final cost) — called after demo_reward, while `env` is still Done()
+  /// at the replayed plan, so implementations may inspect env outputs
+  /// (e.g. the final physical plan). Defaults to the negated episode
+  /// return (lower is better, like SearchEnv::FinalCost).
   std::function<double(size_t, const Episode&, double)> demo_target;
 };
 

@@ -7,9 +7,8 @@
 //     physical plan in ~0 planning time. Every entry carries an exact
 //     identity string (the reconstructed, name-independent SQL) so two
 //     structurally different queries colliding on the 64-bit fingerprint
-//     can never alias — the estimator/oracle memo guard, applied to
-//     plans — plus the policy generation that produced it, so a policy
-//     swap lazily invalidates the whole cache.
+//     can never alias — plus the policy generation that produced it, so a
+//     policy swap lazily invalidates the whole cache.
 //
 //   * Budget-adaptive search effort. The per-request budget picks the
 //     richest search tier (greedy → best-of-K → beam) whose calibrated

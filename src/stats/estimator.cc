@@ -43,20 +43,6 @@ double CardinalityEstimator::BaseRows(const Query& query, int rel) {
   return static_cast<double>((*table)->num_rows);
 }
 
-void CardinalityEstimator::CheckCacheIdentityLocked(const Query& query) {
-  // Always hash: an address-based fast path would be defeated by stack
-  // reuse (a loop building same-named variants at one address — exactly
-  // the misuse this guard exists to catch). The FNV pass is cheap next to
-  // the name-keyed map lookups on the memo path.
-  uint64_t fp = query.StructuralFingerprint();
-  auto it = fingerprint_cache_.try_emplace(query.name, fp).first;
-  HFQ_CHECK_MSG(it->second == fp,
-                ("estimator memo is keyed by query name, but two "
-                 "structurally different queries share the name '" +
-                 query.name + "'")
-                    .c_str());
-}
-
 double CardinalityEstimator::Rows(const Query& query, RelSet s) {
   std::lock_guard<std::mutex> lock(mu_);
   return RowsLocked(query, s);
@@ -64,8 +50,9 @@ double CardinalityEstimator::Rows(const Query& query, RelSet s) {
 
 double CardinalityEstimator::RowsLocked(const Query& query, RelSet s) {
   HFQ_CHECK(s != 0);
-  CheckCacheIdentityLocked(query);
-  auto key = std::make_pair(query.name, s);
+  // Always hash: an address-based fast path would be defeated by stack
+  // reuse (a loop building same-named variants at one address).
+  auto key = std::make_tuple(query.name, query.StructuralFingerprint(), s);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
 
@@ -119,7 +106,6 @@ double CardinalityEstimator::GroupRows(const Query& query) {
 void CardinalityEstimator::ClearCache() {
   std::lock_guard<std::mutex> lock(mu_);
   cache_.clear();
-  fingerprint_cache_.clear();
 }
 
 }  // namespace hfq

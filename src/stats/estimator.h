@@ -5,9 +5,11 @@
 #ifndef HFQ_STATS_ESTIMATOR_H_
 #define HFQ_STATS_ESTIMATOR_H_
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 
 #include "catalog/catalog.h"
 #include "stats/cardinality.h"
@@ -15,11 +17,11 @@
 
 namespace hfq {
 
-/// Histogram-based estimates. Memoizes per (query name, relset) so repeated
-/// optimizer probes are cheap; query names must therefore uniquely identify
-/// queries within a run — enforced with a per-name structural fingerprint,
-/// exactly like TrueCardinalityOracle (a second structure reusing a name
-/// trips an HFQ_CHECK instead of silently aliasing estimates).
+/// Histogram-based estimates. Memoizes per (query name, structural
+/// fingerprint, relset) so repeated optimizer probes are cheap, like
+/// TrueCardinalityOracle: a name reused for another structure gets its own
+/// entries, and two queries share estimates only when both name and
+/// fingerprint agree.
 ///
 /// Thread-safe: the memo is internally synchronized so concurrent rollout
 /// workers can share one estimator (the backing Catalog/StatsCatalog are
@@ -48,18 +50,14 @@ class CardinalityEstimator : public CardinalitySource {
  private:
   const ColumnStats* StatsFor(const Query& query, const ColumnRef& ref) const;
 
-  /// Guards the name-keyed memo: checks `query`'s structural fingerprint
-  /// against the one first recorded for its name. Caller must hold mu_.
-  void CheckCacheIdentityLocked(const Query& query);
-
   /// Rows with mu_ already held (lets GroupRows reuse it re-entrantly).
   double RowsLocked(const Query& query, RelSet s);
 
   const Catalog* catalog_;
   const StatsCatalog* stats_;
   std::mutex mu_;
-  std::map<std::string, uint64_t> fingerprint_cache_;
-  std::map<std::pair<std::string, RelSet>, double> cache_;
+  /// (query name, structural fingerprint, relset) -> estimated rows.
+  std::map<std::tuple<std::string, uint64_t, RelSet>, double> cache_;
 };
 
 }  // namespace hfq

@@ -59,30 +59,19 @@ TrueCardinalityOracle::TrueCardinalityOracle(const Database* db,
   HFQ_CHECK(db != nullptr);
 }
 
-void TrueCardinalityOracle::CheckCacheIdentity(const Query& query) {
-  // Always hash: an address-based fast path would be defeated by stack
-  // reuse (a loop building same-named variants at one address — exactly
-  // the misuse this guard exists to catch). The FNV pass is cheap next to
-  // the name-keyed map lookups on the memo path.
-  uint64_t fp = query.StructuralFingerprint();
-  auto it = fingerprint_cache_.try_emplace(query.name, fp).first;
-  HFQ_CHECK_MSG(it->second == fp,
-                ("oracle caches are keyed by query name, but two "
-                 "structurally different queries share the name '" +
-                 query.name + "'")
-                    .c_str());
-}
+// Every public entry hashes the query (an address-based fast path would be
+// defeated by stack reuse: a loop building same-named variants at one
+// address) and hands the fingerprint to the Locked bodies.
 
 const std::vector<int64_t>& TrueCardinalityOracle::SelectedRows(
     const Query& query, int rel) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
-  return SelectedRowsImpl(query, rel);
+  std::lock_guard<std::mutex> lock(mu_);
+  return SelectedRowsLocked(query, query.StructuralFingerprint(), rel);
 }
 
-const std::vector<int64_t>& TrueCardinalityOracle::SelectedRowsImpl(
-    const Query& query, int rel) {
-  auto key = std::make_pair(query.name, rel);
+const std::vector<int64_t>& TrueCardinalityOracle::SelectedRowsLocked(
+    const Query& query, uint64_t fp, int rel) {
+  auto key = std::make_tuple(query.name, fp, rel);
   auto it = selected_cache_.find(key);
   if (it != selected_cache_.end()) return it->second;
 
@@ -132,20 +121,27 @@ double TrueCardinalityOracle::BaseRows(const Query& query, int rel) {
 
 Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
                                                           RelSet component) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
+  std::lock_guard<std::mutex> lock(mu_);
+  return CountConnectedLocked(query, query.StructuralFingerprint(),
+                              component);
+}
+
+Result<double> TrueCardinalityOracle::CountConnectedLocked(const Query& query,
+                                                           uint64_t fp,
+                                                           RelSet component) {
   std::vector<int> members = RelSetMembers(component);
   HFQ_CHECK(!members.empty());
   if (members.size() == 1) {
-    return static_cast<double>(SelectedRowsImpl(query, members[0]).size());
+    return static_cast<double>(
+        SelectedRowsLocked(query, fp, members[0]).size());
   }
 
   // Start from the smallest selected relation; grow by the smallest
   // adjacent one (keeps grouped state compact).
   int start = members[0];
   for (int rel : members) {
-    if (SelectedRowsImpl(query, rel).size() <
-        SelectedRowsImpl(query, start).size()) {
+    if (SelectedRowsLocked(query, fp, rel).size() <
+        SelectedRowsLocked(query, fp, start).size()) {
       start = rel;
     }
   }
@@ -165,7 +161,7 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
       HFQ_CHECK(col.ok());
       layout_cols.push_back(*col);
     }
-    for (int64_t row : SelectedRowsImpl(query, start)) {
+    for (int64_t row : SelectedRowsLocked(query, fp, start)) {
       KeyVec key;
       key.reserve(layout_cols.size());
       for (const Column* c : layout_cols) key.push_back(c->GetInt(row));
@@ -177,9 +173,9 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
     // Pick the smallest selected relation adjacent to the joined set.
     int next = -1;
     for (int rel : RelSetMembers(remaining)) {
-      if (!query.JoinPredsBetween(joined, RelSetOf(rel)).empty()) {
-        if (next < 0 || SelectedRowsImpl(query, rel).size() <
-                            SelectedRowsImpl(query, next).size()) {
+      if (query.HasJoinPredBetween(joined, RelSetOf(rel))) {
+        if (next < 0 || SelectedRowsLocked(query, fp, rel).size() <
+                            SelectedRowsLocked(query, fp, next).size()) {
           next = rel;
         }
       }
@@ -252,7 +248,7 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
         next_map;
     {
       std::unordered_map<KeyVec, uint64_t, KeyVecHash> grouped;
-      for (int64_t row : SelectedRowsImpl(query, next)) {
+      for (int64_t row : SelectedRowsLocked(query, fp, next)) {
         KeyVec full;
         full.reserve(probe_cols.size() + payload_cols.size());
         for (const Column* c : probe_cols) full.push_back(c->GetInt(row));
@@ -308,9 +304,10 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
   return total;
 }
 
-double TrueCardinalityOracle::CountComponent(const Query& query,
-                                             RelSet component) {
-  auto exact = CountConnectedExact(query, component);
+double TrueCardinalityOracle::CountComponentLocked(const Query& query,
+                                                   uint64_t fp,
+                                                   RelSet component) {
+  auto exact = CountConnectedLocked(query, fp, component);
   if (exact.ok()) return *exact;
   // Fallback: cross-product upper bound over selected rows. Reached only
   // when the grouped state blows the cap; any consumer will see this as a
@@ -319,16 +316,20 @@ double TrueCardinalityOracle::CountComponent(const Query& query,
   double bound = 1.0;
   for (int rel : RelSetMembers(component)) {
     bound *= std::max<double>(
-        1.0, static_cast<double>(SelectedRowsImpl(query, rel).size()));
+        1.0, static_cast<double>(SelectedRowsLocked(query, fp, rel).size()));
   }
   return bound;
 }
 
 double TrueCardinalityOracle::Rows(const Query& query, RelSet s) {
   HFQ_CHECK(s != 0);
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
-  auto key = std::make_pair(query.name, s);
+  std::lock_guard<std::mutex> lock(mu_);
+  return RowsLocked(query, query.StructuralFingerprint(), s);
+}
+
+double TrueCardinalityOracle::RowsLocked(const Query& query, uint64_t fp,
+                                         RelSet s) {
+  auto key = std::make_tuple(query.name, fp, s);
   auto it = count_cache_.find(key);
   if (it != count_cache_.end()) return it->second;
 
@@ -344,7 +345,7 @@ double TrueCardinalityOracle::Rows(const Query& query, RelSet s) {
       if ((grow & ~comp) == 0) break;
       comp |= grow;
     }
-    total *= CountComponent(query, comp);
+    total *= CountComponentLocked(query, fp, comp);
     left &= ~comp;
   }
   count_cache_[key] = total;
@@ -383,9 +384,10 @@ double TrueCardinalityOracle::RowsWithSelections(
 
 double TrueCardinalityOracle::GroupRows(const Query& query) {
   if (query.group_by.empty()) return 1.0;
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
-  auto it = group_cache_.find(query.name);
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t fp = query.StructuralFingerprint();
+  const auto key = std::make_pair(query.name, fp);
+  auto it = group_cache_.find(key);
   if (it != group_cache_.end()) return it->second;
 
   // Exact distinct-group count: run the component sweep but keep the
@@ -396,9 +398,9 @@ double TrueCardinalityOracle::GroupRows(const Query& query) {
   // whose joins force retention. For simplicity and exactness we instead
   // compute distinct groups per component by a dedicated sweep here.
   RelSet all = RelSetAll(query.num_relations());
-  double rows = Rows(query, all);
+  double rows = RowsLocked(query, fp, all);
   if (rows == 0.0) {
-    group_cache_[query.name] = 0.0;
+    group_cache_[key] = 0.0;
     return 0.0;
   }
   // Upper-bound distinct groups by the product of per-column distinct
@@ -411,13 +413,13 @@ double TrueCardinalityOracle::GroupRows(const Query& query) {
     auto col = (*table)->GetColumn(g.column);
     HFQ_CHECK(col.ok());
     std::unordered_map<int64_t, bool> seen;
-    for (int64_t row : SelectedRowsImpl(query, g.rel_idx)) {
+    for (int64_t row : SelectedRowsLocked(query, fp, g.rel_idx)) {
       seen[(*col)->GetInt(row)] = true;
     }
     distinct *= std::max<double>(1.0, static_cast<double>(seen.size()));
   }
   double groups = std::min(distinct, rows);
-  group_cache_[query.name] = groups;
+  group_cache_[key] = groups;
   return groups;
 }
 

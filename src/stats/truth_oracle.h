@@ -19,6 +19,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "plan/query.h"
@@ -28,12 +30,10 @@
 
 namespace hfq {
 
-/// Exact cardinalities from data. Memoizes per (query name, relset): query
-/// names must uniquely identify queries within a run. This is enforced: a
-/// per-name structural fingerprint is recorded on first contact, and a
-/// later query reusing the name with a different structure trips an
-/// HFQ_CHECK instead of silently returning the other query's cached
-/// cardinalities.
+/// Exact cardinalities from data. Memoizes per (query name, structural
+/// fingerprint, relset or relation): a name reused for another structure
+/// gets its own entries, and two queries share counts only when both name
+/// and fingerprint agree. Each public entry hashes the query once.
 ///
 /// Thread-safe: all memo state is guarded by one internal lock, so
 /// concurrent rollout workers (whose latency simulations all consult this
@@ -66,27 +66,25 @@ class TrueCardinalityOracle : public CardinalitySource {
   Result<double> CountConnectedExact(const Query& query, RelSet component);
 
  private:
-  double CountComponent(const Query& query, RelSet component);
-
-  /// SelectedRows without the cache-identity check, for internal callers
-  /// inside an already-checked public entry point (the component sweep
-  /// calls it O(n^2) times per query).
-  const std::vector<int64_t>& SelectedRowsImpl(const Query& query, int rel);
-
-  /// Guards the name-keyed caches: checks `query`'s structural fingerprint
-  /// against the one first recorded for its name. Called once per public
-  /// entry, under mu_.
-  void CheckCacheIdentity(const Query& query);
+  // The bodies of the public entries, run under mu_ with the query's
+  // structural fingerprint `fp` computed once by the public caller (the
+  // component sweep reads selected rows O(n^2) times per query).
+  double RowsLocked(const Query& query, uint64_t fp, RelSet s);
+  Result<double> CountConnectedLocked(const Query& query, uint64_t fp,
+                                      RelSet component);
+  double CountComponentLocked(const Query& query, uint64_t fp,
+                              RelSet component);
+  const std::vector<int64_t>& SelectedRowsLocked(const Query& query,
+                                                 uint64_t fp, int rel);
 
   const Database* db_;
   Options options_;
-  /// Recursive: public entries nest (Rows -> CountConnectedExact,
-  /// GroupRows -> Rows) while holding the lock.
-  std::recursive_mutex mu_;
-  std::map<std::string, uint64_t> fingerprint_cache_;
-  std::map<std::pair<std::string, int>, std::vector<int64_t>> selected_cache_;
-  std::map<std::pair<std::string, RelSet>, double> count_cache_;
-  std::map<std::string, double> group_cache_;
+  std::mutex mu_;
+  // Memos keyed by (query name, structural fingerprint, ...).
+  std::map<std::tuple<std::string, uint64_t, int>, std::vector<int64_t>>
+      selected_cache_;
+  std::map<std::tuple<std::string, uint64_t, RelSet>, double> count_cache_;
+  std::map<std::pair<std::string, uint64_t>, double> group_cache_;
 };
 
 }  // namespace hfq

@@ -8,9 +8,8 @@
 //     structurally different queries can collide. Every entry therefore
 //     stores an exact identity string (for queries: the reconstructed
 //     SQL, which is name-independent) and a Lookup whose identity does
-//     not match byte-for-byte is a miss, mirroring the estimator/oracle
-//     memo guard. A colliding Insert overwrites, so at most one identity
-//     ever occupies a key.
+//     not match byte-for-byte is a miss. A colliding Insert overwrites,
+//     so at most one identity ever occupies a key.
 //   * Generation stamping: entries record the policy generation that
 //     produced the value; a Lookup from a newer generation treats the
 //     entry as stale (a miss), which is how a published policy swap

@@ -3,6 +3,8 @@
 // the three training strategies, and the facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -12,6 +14,7 @@
 #include "core/full_env.h"
 #include "core/hands_free.h"
 #include "core/incremental.h"
+#include "core/pg_trainer.h"
 #include "core/reward.h"
 #include "tests/test_common.h"
 #include "workload/generator.h"
@@ -23,9 +26,7 @@ class CoreTest : public ::testing::Test {
  protected:
   CoreTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        cost_reward_(&testing::SharedEngine().cost_model()),
-        env_(&featurizer_, &testing::SharedEngine().expert(),
-             &cost_reward_) {}
+        env_(&featurizer_, &testing::SharedEngine().expert()) {}
 
   Engine& engine() { return testing::SharedEngine(); }
 
@@ -55,8 +56,24 @@ class CoreTest : public ::testing::Test {
 
   static constexpr int kN = 8;
   RejoinFeaturizer featurizer_;
-  NegLogCostReward cost_reward_;
   FullPipelineEnv env_;
+};
+
+// A cost reward that counts its Score calls and checks it is handed a
+// finished, annotated plan.
+class CountingReward : public RewardSignal {
+ public:
+  double Score(const Query& query, const PlanNode& plan) override {
+    EXPECT_GT(plan.est_cost, 0.0) << query.name;
+    calls_.fetch_add(1);
+    return -std::log10(std::max(1.0, plan.est_cost));
+  }
+  double LastMetric() const override { return 0.0; }
+  std::string name() const override { return "counting"; }
+  int calls() const { return calls_.load(); }
+
+ private:
+  std::atomic<int> calls_{0};
 };
 
 TEST_F(CoreTest, EngineWiresEverything) {
@@ -73,20 +90,21 @@ TEST_F(CoreTest, EngineWiresEverything) {
 
 TEST(RewardTest, ReciprocalCostMatchesPaperForm) {
   Engine& e = testing::SharedEngine();
-  ReciprocalCostReward reward(&e.cost_model(), 1e5);
+  ReciprocalCostReward reward(1e5);
   WorkloadGenerator gen(&e.catalog(), 101);
   auto q = gen.GenerateQuery(3, "rw1");
   ASSERT_TRUE(q.ok());
   auto plan = e.expert().Optimize(*q);
   ASSERT_TRUE(plan.ok());
-  double r = reward.Score(*q, plan->get());
+  double r = reward.Score(*q, **plan);
   EXPECT_NEAR(r, 1e5 / reward.LastMetric(), 1e-9);
+  EXPECT_EQ(reward.LastMetric(), (*plan)->est_cost);
   EXPECT_GT(reward.LastMetric(), 0.0);
 }
 
 TEST(RewardTest, ScalingFormulaExact) {
   Engine& e = testing::SharedEngine();
-  ScaledLatencyReward reward(&e.latency(), &e.cost_model());
+  ScaledLatencyReward reward(&e.latency());
   EXPECT_FALSE(reward.calibrated());
   // Paper example: costs 10-50, latencies 100-200 (seconds there, ms here).
   reward.Calibrate(10.0, 50.0, 100.0, 200.0);
@@ -117,9 +135,9 @@ TEST(RewardTest, NegLogRewardsOrderPlansCorrectly) {
   auto tree = LeftDeepTree({3, 2, 1, 0});
   auto bad = bad_opt.PhysicalizeJoinTree(*q, *tree);
   ASSERT_TRUE(bad.ok());
-  NegLogLatencyReward reward(&e.latency(), &e.cost_model());
-  double r_good = reward.Score(*q, good->get());
-  double r_bad = reward.Score(*q, bad->get());
+  NegLogLatencyReward reward(&e.latency());
+  double r_good = reward.Score(*q, **good);
+  double r_bad = reward.Score(*q, **bad);
   EXPECT_GE(r_good, r_bad);
 }
 
@@ -194,10 +212,9 @@ TEST_F(CoreTest, ExpertEpisodeReplaysExpertDecisions) {
 TEST(RejoinPlanTest, JoinOrderOnlyPlanIsTheExpertPhysicalization) {
   Engine& e = testing::SharedEngine();
   RejoinFeaturizer featurizer(12, &e.estimator());
-  ReciprocalCostReward reward(&e.cost_model(), 1e5);  // ReJOIN's 1/M(t).
   FullEnvConfig config;
   config.stages = PipelineStages::JoinOrderOnly();
-  FullPipelineEnv env(&featurizer, &e.expert(), &reward, config);
+  FullPipelineEnv env(&featurizer, &e.expert(), config);
   WorkloadGenerator gen(&e.catalog(), 2019);
   Rng rng(11);
   for (int n = 2; n <= 12; ++n) {
@@ -230,8 +247,7 @@ TEST(RejoinPlanTest, JoinOrderOnlyPlanIsTheExpertPhysicalization) {
 TEST_F(CoreTest, AllowCrossProductsInflatesActionSpace) {
   FullEnvConfig config;
   config.allow_cross_products = true;
-  FullPipelineEnv wide(&featurizer_, &engine().expert(), &cost_reward_,
-                       config);
+  FullPipelineEnv wide(&featurizer_, &engine().expert(), config);
   Query q = MakeQuery(5, 106, "cross_ep");
   wide.SetQuery(&q);
   wide.Reset();
@@ -245,6 +261,30 @@ TEST_F(CoreTest, AllowCrossProductsInflatesActionSpace) {
     return n;
   };
   EXPECT_GT(count_valid(wide.ActionMask()), count_valid(env_.ActionMask()));
+}
+
+// The trainer scores each sampled episode's plan exactly once, after its
+// last step, on whichever worker ran it; the score is that episode's
+// return.
+TEST_F(CoreTest, TrainerScoresEachEpisodeOnce) {
+  std::vector<Query> workload = {MakeQuery(3, 110, "count_q0"),
+                                 MakeQuery(5, 111, "count_q1"),
+                                 MakeQuery(4, 112, "count_q2")};
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {16};
+  for (int workers : {1, 4}) {
+    CountingReward reward;
+    PolicyGradientTrainer trainer(&env_, &reward, pg,
+                                  /*episodes_per_update=*/4, workers,
+                                  /*seed=*/5);
+    int episodes = 0;
+    trainer.Train(workload, 10, [&](const TrainedEpisode& trained) {
+      EXPECT_LT(trained.reward, 0.0) << "episode " << trained.index;
+      ++episodes;
+    });
+    EXPECT_EQ(episodes, 10);
+    EXPECT_EQ(reward.calls(), 10) << workers << " workers";
+  }
 }
 
 TEST_F(CoreTest, DemonstrationLearnerLifecycle) {
@@ -413,7 +453,8 @@ TEST_F(CoreTest, IncrementalTrainerRunsAllPhases) {
   WorkloadGenerator gen(&engine().catalog(), 500);
   PolicyGradientConfig pg;
   pg.hidden_dims = {32};
-  IncrementalTrainer trainer(&env_, &gen, pg, 4, 41);
+  NegLogCostReward reward;
+  IncrementalTrainer trainer(&env_, &reward, &gen, pg, 4, 41);
   std::vector<CurriculumPhase> phases =
       BuildCurriculum(CurriculumKind::kPipeline, 24, 5);
   std::set<int> phases_seen;

@@ -45,8 +45,6 @@ HandsFreeConfig TinyConfig(TrainingStrategy strategy) {
   return config;
 }
 
-// Query names embed the seed: the engine's TrueCardinalityOracle memoizes
-// per query name, so names must be unique across the whole binary.
 // Per-process path so concurrent runs of this binary (e.g. a plain and an
 // ASan build in parallel) never race on the same file in TempDir().
 std::string ModelPath(const std::string& tag) {
@@ -150,13 +148,6 @@ TEST(HandsFreeTest, TrainRejectsBudgetsTheStrategyCannotRun) {
     std::vector<int> too_small;
     int minimum;
   };
-  // A private engine: the curriculum names its generated queries by phase,
-  // and a 1-episode curriculum draws different queries under the names the
-  // other facades in this binary already gave the shared engine's memos.
-  EngineOptions options;
-  options.imdb.scale = 0.05;
-  auto engine = Engine::CreateImdbLike(options);
-  ASSERT_TRUE(engine.ok());
   std::vector<Query> workload = TinyWorkload(2, 3, 912);
   for (const Case& c :
        {Case{TrainingStrategy::kCostModelBootstrapping, {-1, 0, 1}, 2},
@@ -164,7 +155,7 @@ TEST(HandsFreeTest, TrainRejectsBudgetsTheStrategyCannotRun) {
     HandsFreeConfig config = TinyConfig(c.strategy);
     for (int budget : c.too_small) {
       config.training_episodes = budget;
-      HandsFreeOptimizer optimizer(engine->get(), config);
+      HandsFreeOptimizer optimizer(&testing::SharedEngine(), config);
       Status status = optimizer.Train(workload);
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
           << TrainingStrategyName(c.strategy) << " " << budget;
@@ -174,11 +165,30 @@ TEST(HandsFreeTest, TrainRejectsBudgetsTheStrategyCannotRun) {
       EXPECT_FALSE(optimizer.Optimize(workload[0]).ok());
     }
     config.training_episodes = c.minimum;
-    HandsFreeOptimizer optimizer(engine->get(), config);
+    HandsFreeOptimizer optimizer(&testing::SharedEngine(), config);
     Status status = optimizer.Train(workload);
     ASSERT_TRUE(status.ok()) << TrainingStrategyName(c.strategy) << " "
                              << status.ToString();
     EXPECT_TRUE(optimizer.Optimize(workload[0]).ok());
+  }
+}
+
+// The curriculum names its generated queries by phase, not by seed, so
+// incremental facades with different seeds give different queries the
+// same names; over one engine, each still trains and plans.
+TEST(HandsFreeTest, IncrementalFacadesWithDifferentSeedsShareAnEngine) {
+  std::vector<Query> workload = TinyWorkload(2, 3, 913);
+  for (uint64_t seed : {101u, 202u}) {
+    HandsFreeConfig config = TinyConfig(TrainingStrategy::kIncrementalHybrid);
+    config.seed = seed;
+    HandsFreeOptimizer optimizer(&testing::SharedEngine(), config);
+    Status status = optimizer.Train(workload);
+    ASSERT_TRUE(status.ok()) << seed << " " << status.ToString();
+    for (const Query& q : workload) {
+      auto plan = optimizer.Optimize(q);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(CountScannedRelations(**plan), q.num_relations());
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "optimizer/optimizer.h"
@@ -169,6 +171,35 @@ TEST_F(OptimizerTest, GeqoDeterministicPerSeed) {
   auto pb = b.Optimize(q);
   ASSERT_TRUE(pa.ok() && pb.ok());
   EXPECT_EQ((*pa)->Fingerprint(), (*pb)->Fingerprint());
+}
+
+// GEQO decodes every permutation with access paths and rows it looked up
+// once per enumeration; each plan must be exactly what the per-call path
+// (BestAccessPath and BestJoin, through PhysicalizeJoinTree) builds for
+// the same join tree.
+TEST_F(OptimizerTest, GeqoPlanIsThePhysicalizationOfItsJoinTree) {
+  OptimizerOptions options;
+  options.geqo_threshold = 1;  // Genetic search at every size.
+  TraditionalOptimizer geqo(&engine().catalog(), &engine().cost_model(),
+                            options);
+  WorkloadGenerator gen(&engine().catalog(), 4242);
+  for (JoinTopology topology : {JoinTopology::kChain, JoinTopology::kStar,
+                                JoinTopology::kClique, JoinTopology::kCyclic}) {
+    for (int n : {6, 11, 16}) {
+      auto q = gen.GenerateTopologyQuery(
+          topology, n,
+          std::string("geqo_pin_") + JoinTopologyName(topology) +
+              std::to_string(n));
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      auto plan = geqo.Optimize(*q);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      std::unique_ptr<JoinTreeNode> tree = JoinTreeOf(**plan);
+      auto rebuilt = geqo.PhysicalizeJoinTree(*q, *tree);
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+      EXPECT_EQ((*plan)->ToString(*q), (*rebuilt)->ToString(*q)) << q->name;
+      EXPECT_EQ((*plan)->est_cost, (*rebuilt)->est_cost) << q->name;
+    }
+  }
 }
 
 TEST_F(OptimizerTest, GeqoNotMuchWorseThanDp) {

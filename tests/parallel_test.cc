@@ -59,10 +59,9 @@ class ParallelRolloutTest : public ::testing::Test {
  protected:
   ParallelRolloutTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        // Thread-safe reward: cost annotation only touches the internally
-        // synchronized substrate.
-        reward_(&testing::SharedEngine().cost_model(), 1e5),
-        env_(&featurizer_, &testing::SharedEngine().expert(), &reward_) {
+        // Thread-safe reward: it reads the plan it is given.
+        reward_(1e5),
+        env_(&featurizer_, &testing::SharedEngine().expert()) {
     env_.set_stages(PipelineStages::JoinOrderOnly());
   }
 
@@ -96,7 +95,7 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
   pg.hidden_dims = {24, 24};
 
   // The trainer's (round-based, workspace-inference) path.
-  PolicyGradientTrainer trainer(&env_, pg, kEpisodesPerUpdate,
+  PolicyGradientTrainer trainer(&env_, &reward_, pg, kEpisodesPerUpdate,
                                 /*num_rollout_workers=*/1, kSeed);
   std::vector<Episode> trainer_trajs;
   trainer.Train(workload, kEpisodes, nullptr,
@@ -107,8 +106,9 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
                 });
 
   // Hand-rolled serial reference replicating the pre-parallelism trainer:
-  // mutating SampleAction from the agent's rng, update every
-  // episodes_per_update episodes, trailing flush.
+  // mutating SampleAction from the agent's rng, the finished plan scored
+  // onto the last transition, update every episodes_per_update episodes,
+  // trailing flush.
   PolicyGradientAgent reference(env_.state_dim(), env_.action_dim(), pg,
                                 kSeed);
   std::vector<Episode> reference_trajs;
@@ -123,9 +123,11 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
       t.state = env_.StateVector();
       t.mask = env_.ActionMask();
       t.action = reference.SampleAction(t.state, t.mask, &t.old_prob);
-      StepResult step = env_.Step(t.action);
-      t.reward = step.reward;
+      env_.Step(t.action);
       episode.steps.push_back(std::move(t));
+    }
+    if (!episode.steps.empty()) {
+      episode.steps.back().reward = reward_.Score(query, *env_.FinalPlan());
     }
     reference_trajs.push_back(episode);
     if (!episode.steps.empty()) {
@@ -153,13 +155,12 @@ TEST_F(ParallelRolloutTest, NWorkerRunIsDeterministicForFixedSeed) {
   constexpr uint64_t kSeed = 55;
 
   auto run = [&](std::vector<Episode>* trajs) {
-    FullPipelineEnv primary(&featurizer_, &testing::SharedEngine().expert(),
-                            &reward_);
+    FullPipelineEnv primary(&featurizer_, &testing::SharedEngine().expert());
     primary.set_stages(PipelineStages::JoinOrderOnly());
     PolicyGradientConfig pg;
     pg.hidden_dims = {24, 24};
-    PolicyGradientTrainer trainer(&primary, pg, /*episodes_per_update=*/8,
-                                  kWorkers, kSeed);
+    PolicyGradientTrainer trainer(&primary, &reward_, pg,
+                                  /*episodes_per_update=*/8, kWorkers, kSeed);
     // The harvest runs on the workers, each writing its own slot.
     trajs->resize(kEpisodes);
     trainer.Train(workload, kEpisodes, nullptr,
@@ -191,9 +192,7 @@ TEST(ParallelCoreTest, ParallelDemonstrationCollectionMatchesSerial) {
     workload.push_back(std::move(*q));
   }
 
-  auto make_learner = [&engine](FullPipelineEnv* env,
-                                NegLogLatencyReward* reward, int workers) {
-    (void)reward;
+  auto make_learner = [&engine](FullPipelineEnv* env, int workers) {
     LfdConfig config;
     config.predictor.hidden_dims = {16};
     config.pretrain_steps = 30;
@@ -203,12 +202,11 @@ TEST(ParallelCoreTest, ParallelDemonstrationCollectionMatchesSerial) {
   };
 
   RejoinFeaturizer featurizer(8, &engine.estimator());
-  NegLogLatencyReward reward(&engine.latency(), &engine.cost_model());
-  FullPipelineEnv env_serial(&featurizer, &engine.expert(), &reward);
-  FullPipelineEnv env_parallel(&featurizer, &engine.expert(), &reward);
+  FullPipelineEnv env_serial(&featurizer, &engine.expert());
+  FullPipelineEnv env_parallel(&featurizer, &engine.expert());
 
-  auto serial = make_learner(&env_serial, &reward, 1);
-  auto parallel = make_learner(&env_parallel, &reward, 3);
+  auto serial = make_learner(&env_serial, 1);
+  auto parallel = make_learner(&env_parallel, 3);
   auto collected_serial = serial->CollectDemonstrations(workload);
   auto collected_parallel = parallel->CollectDemonstrations(workload);
   ASSERT_TRUE(collected_serial.ok());
@@ -251,8 +249,7 @@ TEST(ParallelCoreTest, FacadeTrainsWithItsWorkerCount) {
 
   // The same two-phase schedule Train runs, on a directly built backend.
   RejoinFeaturizer featurizer(config.max_relations, &engine.estimator());
-  NegLogLatencyReward reward(&engine.latency(), &engine.cost_model());
-  FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
+  FullPipelineEnv env(&featurizer, &engine.expert());
   BootstrapConfig bootstrap = config.bootstrap;
   bootstrap.num_rollout_workers = 3;
   BootstrapTrainer direct(&env, &engine, bootstrap, config.seed);
@@ -290,14 +287,15 @@ TEST(ParallelCoreTest, FacadeTrainsWithItsWorkerCount) {
 TEST(ParallelCoreTest, IncrementalTrainerParallelRunIsDeterministic) {
   Engine& engine = testing::SharedEngine();
   RejoinFeaturizer featurizer(6, &engine.estimator());
-  NegLogCostReward reward(&engine.cost_model());
+  NegLogCostReward reward;
 
   auto run = [&](std::vector<double>* rewards) {
-    FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
+    FullPipelineEnv env(&featurizer, &engine.expert());
     WorkloadGenerator gen(&engine.catalog(), 999);
     PolicyGradientConfig pg;
     pg.hidden_dims = {16};
-    IncrementalTrainer trainer(&env, &gen, pg, /*episodes_per_update=*/4,
+    IncrementalTrainer trainer(&env, &reward, &gen, pg,
+                               /*episodes_per_update=*/4,
                                /*seed=*/61, /*num_rollout_workers=*/3);
     std::vector<CurriculumPhase> phases =
         BuildCurriculum(CurriculumKind::kPipeline, 24, 5);

@@ -130,8 +130,7 @@ TEST_P(PropertyTest, RandomJoinTreesExecuteIdentically) {
 TEST_P(PropertyTest, FullEnvRandomRolloutsYieldExecutablePlans) {
   Query q = RandomQuery(5, 5);
   RejoinFeaturizer featurizer(6, &engine().estimator());
-  NegLogCostReward reward(&engine().cost_model());
-  FullPipelineEnv env(&featurizer, &engine().expert(), &reward);
+  FullPipelineEnv env(&featurizer, &engine().expert());
   env.SetQuery(&q);
   env.Reset();
   Rng rng(static_cast<uint64_t>(GetParam()) * 31 + 5);

@@ -28,8 +28,8 @@ class RejoinTest : public ::testing::Test {
  protected:
   RejoinTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_(&testing::SharedEngine().cost_model(), 1e5),
-        env_(&featurizer_, &testing::SharedEngine().expert(), &reward_,
+        reward_(1e5),
+        env_(&featurizer_, &testing::SharedEngine().expert(),
              JoinOrderOnly()) {}
 
   Query MakeQuery(int n, uint64_t seed, const std::string& name) {
@@ -43,13 +43,12 @@ class RejoinTest : public ::testing::Test {
   double GreedyReward(PolicyGradientAgent& agent, const Query& query) {
     env_.SetQuery(&query);
     env_.Reset();
-    double reward = 0.0;
     while (!env_.Done()) {
       std::vector<double> state = env_.StateVector();
       std::vector<bool> mask = env_.ActionMask();
-      reward = env_.Step(agent.GreedyAction(state, mask)).reward;
+      env_.Step(agent.GreedyAction(state, mask));
     }
-    return reward;
+    return reward_.Score(query, *env_.FinalPlan());
   }
 
   static constexpr int kN = 8;
@@ -131,7 +130,7 @@ TEST_F(RejoinTest, CrossProductsAllowedWhenConfigured) {
   FullEnvConfig config = JoinOrderOnly();
   config.allow_cross_products = true;
   FullPipelineEnv env(&featurizer_, &testing::SharedEngine().expert(),
-                      &reward_, config);
+                      config);
   Query q = MakeQuery(4, 4, "mask2");
   env.SetQuery(&q);
   env.Reset();
@@ -150,7 +149,6 @@ TEST_F(RejoinTest, EpisodeBuildsCompleteTree) {
   env_.Reset();
   Rng rng(1);
   int steps = 0;
-  double final_reward = 0.0;
   while (!env_.Done()) {
     std::vector<bool> mask = env_.ActionMask();
     std::vector<int> valid;
@@ -158,12 +156,11 @@ TEST_F(RejoinTest, EpisodeBuildsCompleteTree) {
       if (mask[static_cast<size_t>(a)]) valid.push_back(a);
     }
     ASSERT_FALSE(valid.empty());
-    StepResult r = env_.Step(rng.Choice(valid));
-    final_reward = r.reward;
+    env_.Step(rng.Choice(valid));
     ++steps;
   }
   EXPECT_EQ(steps, 5);  // n-1 joins.
-  EXPECT_GT(final_reward, 0.0);
+  EXPECT_GT(reward_.Score(q, *env_.FinalPlan()), 0.0);
   std::unique_ptr<JoinTreeNode> tree = JoinTreeOf(*env_.FinalPlan());
   EXPECT_EQ(tree->rels, RelSetAll(6));
   EXPECT_EQ(tree->NumJoins(), 5);
@@ -185,16 +182,15 @@ TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
     const Query& q = workload[static_cast<size_t>(e) % workload.size()];
     env_.SetQuery(&q);
     env_.Reset();
-    double reward = 0.0;
     while (!env_.Done()) {
       std::vector<bool> mask = env_.ActionMask();
       std::vector<int> valid;
       for (int a = 0; a < env_.action_dim(); ++a) {
         if (mask[static_cast<size_t>(a)]) valid.push_back(a);
       }
-      reward = env_.Step(rng.Choice(valid)).reward;
+      env_.Step(rng.Choice(valid));
     }
-    random_total += reward;
+    random_total += reward_.Score(q, *env_.FinalPlan());
     ++random_episodes;
   }
   double random_mean = random_total / random_episodes;
@@ -202,7 +198,8 @@ TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
   PolicyGradientConfig pg;
   pg.hidden_dims = {32, 32};
   pg.policy_lr = 2e-3;
-  PolicyGradientTrainer trainer(&env_, pg, /*episodes_per_update=*/8,
+  PolicyGradientTrainer trainer(&env_, &reward_, pg,
+                                /*episodes_per_update=*/8,
                                 /*num_rollout_workers=*/1, /*seed=*/17);
   trainer.Train(workload, 400);
 
@@ -221,7 +218,8 @@ TEST_F(RejoinTest, TrainFlushesTrailingEpisodes) {
   Query q = MakeQuery(4, 10, "flush1");
   PolicyGradientConfig pg;
   pg.hidden_dims = {16};
-  PolicyGradientTrainer trainer(&env_, pg, /*episodes_per_update=*/8,
+  PolicyGradientTrainer trainer(&env_, &reward_, pg,
+                                /*episodes_per_update=*/8,
                                 /*num_rollout_workers=*/1, /*seed=*/21);
   auto weights = [&trainer] {
     std::ostringstream out;
@@ -240,7 +238,8 @@ TEST_F(RejoinTest, PlanIsDeterministicAndTimed) {
   Query q = MakeQuery(6, 8, "plan1");
   PolicyGradientConfig pg;
   pg.hidden_dims = {16};
-  PolicyGradientTrainer trainer(&env_, pg, /*episodes_per_update=*/8,
+  PolicyGradientTrainer trainer(&env_, &reward_, pg,
+                                /*episodes_per_update=*/8,
                                 /*num_rollout_workers=*/1, /*seed=*/19);
   trainer.Train({q}, 40);
   AgentPolicy policy(&trainer.agent());

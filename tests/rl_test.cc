@@ -21,8 +21,18 @@
 namespace hfq {
 namespace {
 
+// The toy envs report their terminal reward to the test's episode loop
+// (the Environment interface itself carries no reward).
+class ToyEnv : public Environment {
+ public:
+  double reward() const { return reward_; }
+
+ protected:
+  double reward_ = 0.0;
+};
+
 // A 4-armed bandit: arm 2 pays 1.0, others pay 0.1. One-step episodes.
-class BanditEnv : public Environment {
+class BanditEnv : public ToyEnv {
  public:
   void Reset() override { done_ = false; }
   int state_dim() const override { return 2; }
@@ -31,9 +41,9 @@ class BanditEnv : public Environment {
   std::vector<bool> ActionMask() const override {
     return {true, true, true, true};
   }
-  StepResult Step(int action) override {
+  void Step(int action) override {
     done_ = true;
-    return {action == 2 ? 1.0 : 0.1, true};
+    reward_ = action == 2 ? 1.0 : 0.1;
   }
   bool Done() const override { return done_; }
 
@@ -43,9 +53,12 @@ class BanditEnv : public Environment {
 
 // Two-step corridor: action 0 = "left", 1 = "right"; reward 1 only for
 // (right, left). Tests credit assignment over multiple steps.
-class CorridorEnv : public Environment {
+class CorridorEnv : public ToyEnv {
  public:
-  void Reset() override { step_ = 0; }
+  void Reset() override {
+    step_ = 0;
+    reward_ = 0.0;
+  }
   int state_dim() const override { return 3; }
   int action_dim() const override { return 2; }
   std::vector<double> StateVector() const override {
@@ -54,14 +67,12 @@ class CorridorEnv : public Environment {
     return s;
   }
   std::vector<bool> ActionMask() const override { return {true, true}; }
-  StepResult Step(int action) override {
+  void Step(int action) override {
     history_[static_cast<size_t>(step_)] = action;
     ++step_;
     if (step_ == 2) {
-      double reward = (history_[0] == 1 && history_[1] == 0) ? 1.0 : 0.0;
-      return {reward, true};
+      reward_ = (history_[0] == 1 && history_[1] == 0) ? 1.0 : 0.0;
     }
-    return {0.0, false};
   }
   bool Done() const override { return step_ >= 2; }
 
@@ -70,7 +81,8 @@ class CorridorEnv : public Environment {
   int history_[2] = {0, 0};
 };
 
-Episode RunEpisode(Environment* env, PolicyGradientAgent* agent) {
+// One sampled episode; the env's terminal reward lands on the last step.
+Episode RunEpisode(ToyEnv* env, PolicyGradientAgent* agent) {
   env->Reset();
   Episode episode;
   while (!env->Done()) {
@@ -78,10 +90,10 @@ Episode RunEpisode(Environment* env, PolicyGradientAgent* agent) {
     t.state = env->StateVector();
     t.mask = env->ActionMask();
     t.action = agent->SampleAction(t.state, t.mask, &t.old_prob);
-    StepResult result = env->Step(t.action);
-    t.reward = result.reward;
+    env->Step(t.action);
     episode.steps.push_back(std::move(t));
   }
+  episode.steps.back().reward = env->reward();
   return episode;
 }
 

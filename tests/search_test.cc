@@ -31,10 +31,11 @@ class SearchTest : public ::testing::Test {
  protected:
   SearchTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_(&testing::SharedEngine().cost_model(), 1e5),
-        env_(&featurizer_, &testing::SharedEngine().expert(), &reward_),
-        trainer_(&env_, PolicyGradientConfig(), /*episodes_per_update=*/8,
-                 /*num_rollout_workers=*/1, /*seed=*/20260730) {
+        reward_(1e5),
+        env_(&featurizer_, &testing::SharedEngine().expert()),
+        trainer_(&env_, &reward_, PolicyGradientConfig(),
+                 /*episodes_per_update=*/8, /*num_rollout_workers=*/1,
+                 /*seed=*/20260730) {
     env_.set_stages(PipelineStages::JoinOrderOnly());
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), 99);
     for (int i = 0; i < 4; ++i) {

@@ -43,9 +43,7 @@ HandsFreeConfig TinyServeConfig() {
   return config;
 }
 
-// Query names embed the seed (the engine's oracle memoizes per name, so
-// names must be unique across the binary); the 2xxx seed band is
-// reserved for this suite.
+// Query names embed the seed.
 std::vector<Query> ServeWorkload(int count, int num_relations,
                                  uint64_t seed) {
   WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
@@ -170,6 +168,43 @@ TEST(PlanServerTest, SameStructureDifferentNameSharesOneCacheEntry) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->cache_hit);
   EXPECT_EQ(warm->plan->Fingerprint(), cold->plan->Fingerprint());
+}
+
+// A name is not an identity: two differently shaped queries sharing one
+// name each get the plan their structure gets under a fresh name, with the
+// plan cache on and off.
+TEST(PlanServerTest, ReusedNameWithAnotherStructureGetsItsOwnPlan) {
+  PlanServerConfig uncached;
+  uncached.enable_cache = false;
+  PlanServer reference(&TrainedOptimizer(), uncached);
+  ASSERT_TRUE(reference.PublishPolicy().ok());
+  for (bool enable_cache : {true, false}) {
+    PlanServerConfig config;
+    config.enable_cache = enable_cache;
+    PlanServer server(&TrainedOptimizer(), config);
+    ASSERT_TRUE(server.PublishPolicy().ok());
+    const std::string name =
+        enable_cache ? "sv_s2010_reused" : "sv_s2010_reused_nocache";
+    const std::vector<Query> shapes = {NamedQuery(2010, 3, name),
+                                       NamedQuery(2011, 4, name)};
+    ASSERT_NE(shapes[0].StructuralFingerprint(),
+              shapes[1].StructuralFingerprint());
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      const Query& query = shapes[i];
+      Query fresh = query;
+      fresh.name = name + "_fresh" + std::to_string(i);
+      auto served = server.Plan(query);
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      auto expected = reference.Plan(fresh);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      EXPECT_FALSE(served->cache_hit);
+      EXPECT_EQ(CountScannedRelations(*served->plan), query.num_relations());
+      EXPECT_EQ(served->plan->ToString(query),
+                expected->plan->ToString(fresh))
+          << "cache " << enable_cache << ", shape " << i;
+      EXPECT_EQ(served->cost, expected->cost);
+    }
+  }
 }
 
 TEST(PlanServerTest, PolicySwapInvalidatesCachedPlans) {

@@ -26,14 +26,25 @@
 namespace hfq {
 namespace {
 
+// ReJOIN's 1/M(t), counting its Score calls (single-threaded here).
+class CountingReward : public ReciprocalCostReward {
+ public:
+  CountingReward() : ReciprocalCostReward(1e5) {}
+  double Score(const Query& query, const PlanNode& plan) override {
+    ++calls;
+    return ReciprocalCostReward::Score(query, plan);
+  }
+  int calls = 0;
+};
+
 // ReJOIN (the pipeline env with only its join-order stage) plus its
 // policy-gradient trainer.
 struct RejoinSetup {
   explicit RejoinSetup(RejoinFeaturizer* featurizer)
-      : reward(&testing::SharedEngine().cost_model(), 1e5),
-        env(featurizer, &testing::SharedEngine().expert(), &reward),
-        trainer(&env, PolicyGradientConfig(), /*episodes_per_update=*/8,
-                /*num_rollout_workers=*/1, /*seed=*/20260730) {
+      : env(featurizer, &testing::SharedEngine().expert()),
+        trainer(&env, &reward, PolicyGradientConfig(),
+                /*episodes_per_update=*/8, /*num_rollout_workers=*/1,
+                /*seed=*/20260730) {
     env.set_stages(PipelineStages::JoinOrderOnly());
   }
 
@@ -55,19 +66,25 @@ struct RejoinSetup {
     };
     task.search = [&](SearchEnv* search_env) -> Result<TeacherSearchOutcome> {
       SearchContext ctx{&policy, /*rng=*/nullptr, &ws};
+      const int calls = reward.calls;
       HFQ_ASSIGN_OR_RETURN(SearchResult found,
                            searcher->Search(search_env, ctx));
+      scores_during_search += reward.calls - calls;
       return TeacherSearchOutcome{std::move(found.actions), found.cost};
     };
     task.policy = &policy;
     task.student = &student;
     task.pool = pool;
+    task.demo_reward = [this, &workload](size_t i) {
+      return reward.Score(workload[i], *env.FinalPlan());
+    };
     return RunTeacherLoop(task, teacher);
   }
 
-  ReciprocalCostReward reward;  // The paper's 1/M(t).
+  CountingReward reward;
   FullPipelineEnv env;
   PolicyGradientTrainer trainer;
+  int scores_during_search = 0;
 };
 
 class TeacherLoopTest : public ::testing::Test {
@@ -151,6 +168,23 @@ TEST_F(TeacherLoopTest, FrozenStudentRediscoversNothing) {
   }
 }
 
+// The loop scores each replayed demo's plan once, and nothing while the
+// teacher searches.
+TEST_F(TeacherLoopTest, ScoresOncePerReplayedDemo) {
+  TeacherConfig teacher;
+  teacher.iterations = 3;
+  ExperiencePool pool;
+  const int trained = rejoin_.reward.calls;
+  EXPECT_EQ(trained, 48);  // One score per training episode.
+  auto stats = rejoin_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  int demos = 0;
+  for (const TeacherIterationStats& row : *stats) demos += row.demos;
+  EXPECT_EQ(demos, 3 * static_cast<int>(queries_.size()));
+  EXPECT_EQ(rejoin_.reward.calls - trained, demos);
+  EXPECT_EQ(rejoin_.scores_during_search, 0);
+}
+
 TEST_F(TeacherLoopTest, DeterministicAcrossIdenticalTrainers) {
   // Two trainers built and refined identically must agree bit-for-bit:
   // same per-iteration stats, same final weights. (The loop is serial and
@@ -229,8 +263,7 @@ HandsFreeConfig TinyConfig(TrainingStrategy strategy) {
   return config;
 }
 
-// Query names embed the seed: the engine's TrueCardinalityOracle memoizes
-// per query name, so names must be unique across the whole binary.
+// Query names embed the seed.
 std::vector<Query> TinyWorkload(int count, int num_relations, uint64_t seed) {
   WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
   std::vector<Query> workload;
