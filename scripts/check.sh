@@ -32,8 +32,8 @@
 # vectorized-vs-tuple-at-a-time A/B plus the hash-join and group-by
 # acceptance benches), mirroring CI's bench-smoke step: it proves the
 # bench targets still run, not just compile. Numbers are printed, not
-# gated. It then runs the benchmark driver's self-test on the eval and
-# serve workloads (perfbench/test_digest.py eval serve: builds the driver
+# gated. It then runs the benchmark driver's self-test on all three
+# workloads (perfbench/test_digest.py adhoc eval serve: builds the driver
 # into .bench_build/, runs each workload briefly, gates correct answers and
 # seed-determined work digests), mirroring CI's benchmark-driver step.
 #
@@ -120,7 +120,7 @@ if [[ "$bench_smoke" == ON ]]; then
   ./bench/bench_micro_benchmarks \
     --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_ExpertOptimize|BM_PlanServer|BM_Execute|BM_RejoinRolloutCollection' \
     --benchmark_min_time=0.01
-  python3 ../perfbench/test_digest.py eval serve
+  python3 ../perfbench/test_digest.py adhoc eval serve
 fi
 
 if [[ "$serve_smoke" == ON ]]; then

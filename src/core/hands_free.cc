@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "exec/executor.h"
@@ -216,42 +215,32 @@ Result<std::unique_ptr<PolicySnapshot>> HandsFreeOptimizer::SnapshotPolicy() {
   if (!trained_) {
     return Status::FailedPrecondition("Train() before SnapshotPolicy()");
   }
-  // Serialization round-trip rather than copy construction: Save emits 17
-  // significant digits (bit-exact double round-trip), a fresh model gets
-  // clean optimizer/replay state, and the copy path is the same one
-  // SaveModel/LoadModel already pin in tests.
+  // A fresh model (clean optimizer and replay state) built with the live
+  // network's architecture, then given a bit-exact copy of the live
+  // weights. The snapshot shares nothing with the live model.
   auto snapshot = std::make_unique<PolicySnapshot>();
-  std::stringstream weights;
-  switch (config_.strategy) {
-    case TrainingStrategy::kLearningFromDemonstration: {
-      HFQ_RETURN_IF_ERROR(lfd_->predictor().Save(weights));
-      snapshot->predictor = std::make_unique<RewardPredictor>(
-          env_->state_dim(), env_->action_dim(), config_.lfd.predictor,
-          config_.seed);
-      HFQ_RETURN_IF_ERROR(snapshot->predictor->LoadWeights(weights));
-      snapshot->view =
-          std::make_unique<PredictorPolicy>(snapshot->predictor.get());
-      break;
-    }
-    case TrainingStrategy::kCostModelBootstrapping: {
-      HFQ_RETURN_IF_ERROR(bootstrap_->agent().Save(weights));
-      snapshot->agent = std::make_unique<PolicyGradientAgent>(
-          env_->state_dim(), env_->action_dim(), bootstrap_->agent().config(),
-          config_.seed);
-      HFQ_RETURN_IF_ERROR(snapshot->agent->LoadWeights(weights));
-      snapshot->view = std::make_unique<AgentPolicy>(snapshot->agent.get());
-      break;
-    }
-    case TrainingStrategy::kIncrementalHybrid: {
-      HFQ_RETURN_IF_ERROR(incremental_->agent().Save(weights));
-      snapshot->agent = std::make_unique<PolicyGradientAgent>(
-          env_->state_dim(), env_->action_dim(), incremental_->agent().config(),
-          config_.seed);
-      HFQ_RETURN_IF_ERROR(snapshot->agent->LoadWeights(weights));
-      snapshot->view = std::make_unique<AgentPolicy>(snapshot->agent.get());
-      break;
-    }
+  if (config_.strategy == TrainingStrategy::kLearningFromDemonstration) {
+    Mlp& live = lfd_->predictor().net();
+    RewardPredictorConfig predictor_config = config_.lfd.predictor;
+    predictor_config.hidden_dims = live.config().hidden_dims;
+    snapshot->predictor = std::make_unique<RewardPredictor>(
+        env_->state_dim(), env_->action_dim(), predictor_config, config_.seed);
+    snapshot->predictor->net().CopyWeightsFrom(live);
+    snapshot->view =
+        std::make_unique<PredictorPolicy>(snapshot->predictor.get());
+    return snapshot;
   }
+  PolicyGradientAgent& live =
+      config_.strategy == TrainingStrategy::kCostModelBootstrapping
+          ? bootstrap_->agent()
+          : incremental_->agent();
+  PolicyGradientConfig agent_config = live.config();
+  agent_config.hidden_dims = live.policy_net().config().hidden_dims;
+  snapshot->agent = std::make_unique<PolicyGradientAgent>(
+      env_->state_dim(), env_->action_dim(), agent_config, config_.seed);
+  snapshot->agent->policy_net().CopyWeightsFrom(live.policy_net());
+  snapshot->agent->value_net().CopyWeightsFrom(live.value_net());
+  snapshot->view = std::make_unique<AgentPolicy>(snapshot->agent.get());
   return snapshot;
 }
 

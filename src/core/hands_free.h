@@ -218,12 +218,12 @@ class HandsFreeOptimizer {
   const FrozenPolicy* policy() const { return frozen_policy_.get(); }
 
   /// Deep-copies the trained model into an independently-owned
-  /// PolicySnapshot (via the same serialization path SaveModel uses, so
-  /// the copy is bit-exact — weights round-trip through 17 significant
-  /// digits). The snapshot's FrozenPolicy view returns bit-identical
-  /// inference results to policy() at the moment of the call, and is
-  /// immune to later training updates: the serving layer's non-blocking
-  /// policy-swap primitive. Fails if not trained. Must not run
+  /// PolicySnapshot: a freshly built model of the same architecture whose
+  /// weights are copied from the live networks (Mlp::CopyWeightsFrom), so
+  /// the copy is bit-exact. The snapshot's FrozenPolicy view returns
+  /// bit-identical inference results to policy() at the moment of the
+  /// call, and is immune to later training updates: the serving layer's
+  /// non-blocking policy-swap primitive. Fails if not trained. Must not run
   /// concurrently with a training update (the caller serializes
   /// snapshot-vs-train, e.g. PlanServer's update mutex).
   Result<std::unique_ptr<PolicySnapshot>> SnapshotPolicy();

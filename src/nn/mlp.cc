@@ -1,9 +1,13 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
 
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace hfq {
@@ -78,10 +82,8 @@ Matrix Mlp::Forward(const Matrix& input) {
   return x;
 }
 
-Matrix& Mlp::ForwardInto(const Matrix& input, MlpWorkspace* workspace) const {
-  HFQ_CHECK(!layers_.empty());
-  HFQ_CHECK(workspace != nullptr);
-  HFQ_CHECK(input.cols() == config_.input_dim);
+Matrix& Mlp::ForwardLayers(const Matrix& input,
+                           MlpWorkspace* workspace) const {
   workspace->forward_calls += 1;
   workspace->forward_rows += input.rows();
   workspace->activations.resize(layers_.size());
@@ -93,6 +95,71 @@ Matrix& Mlp::ForwardInto(const Matrix& input, MlpWorkspace* workspace) const {
   return workspace->activations.back();
 }
 
+Matrix& Mlp::ForwardInto(const Matrix& input, MlpWorkspace* workspace) const {
+  HFQ_CHECK(!layers_.empty());
+  HFQ_CHECK(workspace != nullptr);
+  HFQ_CHECK(input.cols() == config_.input_dim);
+  MlpMemo& memo = workspace->memo;
+  if (!memo.open) return ForwardLayers(input, workspace);
+
+  // Resolve every row to a memo entry. A row not seen before gets a new,
+  // still unfilled entry, which a later copy of it in this batch finds, so
+  // each distinct row is forwarded once.
+  const int64_t rows = input.rows();
+  const int64_t in_dim = config_.input_dim;
+  const int64_t out_dim = config_.output_dim;
+  const size_t in_bytes = static_cast<size_t>(in_dim) * sizeof(double);
+  const size_t out_bytes = static_cast<size_t>(out_dim) * sizeof(double);
+  memo.row_entries.resize(static_cast<size_t>(rows));
+  memo.new_entries.clear();
+  for (int64_t r = 0; r < rows; ++r) {
+    const double* row = input.data() + r * in_dim;
+    const uint64_t hash = MlpMemo::Hash(this, row, in_dim);
+    int64_t entry = memo.Find(this, row, in_dim, hash);
+    if (entry < 0) {
+      entry = memo.Insert(this, row, in_dim, out_dim, hash);
+      memo.new_entries.push_back(entry);
+    }
+    memo.row_entries[static_cast<size_t>(r)] = entry;
+  }
+
+  // Forward the new rows as one batch and memoize their outputs. Row
+  // results do not depend on the batch that carries them, so a memoized
+  // row is bit-identical to forwarding it here.
+  const int64_t fresh = static_cast<int64_t>(memo.new_entries.size());
+  if (fresh > 0) {
+    // When every row is new and distinct the input is the batch, in order.
+    const Matrix* batch = &input;
+    if (fresh < rows) {
+      memo.missing.ResizeZeroed(fresh, in_dim);
+      for (int64_t j = 0; j < fresh; ++j) {
+        std::memcpy(memo.missing.data() + j * in_dim,
+                    memo.Key(memo.new_entries[static_cast<size_t>(j)]),
+                    in_bytes);
+      }
+      batch = &memo.missing;
+    }
+    Matrix& out = ForwardLayers(*batch, workspace);
+    for (int64_t j = 0; j < fresh; ++j) {
+      std::memcpy(memo.Output(memo.new_entries[static_cast<size_t>(j)]),
+                  out.data() + j * out_dim, out_bytes);
+    }
+    if (fresh == rows) return out;
+  }
+
+  // Copy every row's output out of the memo: callers overwrite the
+  // returned matrix (masked logits), which must never reach the memo.
+  workspace->activations.resize(layers_.size());
+  Matrix& result = workspace->activations.back();
+  result.ResizeZeroed(rows, out_dim);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::memcpy(result.data() + r * out_dim,
+                memo.Output(memo.row_entries[static_cast<size_t>(r)]),
+                out_bytes);
+  }
+  return result;
+}
+
 Matrix& Mlp::ForwardBatchInto(const Matrix& inputs,
                               MlpWorkspace* workspace) const {
   // One minibatch forward for the whole frontier. Every layer maps rows
@@ -101,6 +168,97 @@ Matrix& Mlp::ForwardBatchInto(const Matrix& inputs,
   // exactly N single-row ForwardInto calls fused into one invocation.
   HFQ_CHECK(inputs.rows() >= 1);
   return ForwardInto(inputs, workspace);
+}
+
+uint64_t MlpMemo::Hash(const Mlp* net, const double* row, int64_t dim) {
+  // Four independent xor-multiply chains over the row's 64-bit words, so
+  // the multiplies overlap. Each step is a bijection of its chain, so two
+  // rows that differ in one word always hash apart.
+  constexpr uint64_t kMul = 0x517CC1B727220A95ull;
+  auto word = [row](int64_t i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, row + i, sizeof(bits));
+    return bits;
+  };
+  uint64_t a = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(net));
+  uint64_t b = 1, c = 2, d = 3;
+  int64_t i = 0;
+  for (; i + 4 <= dim; i += 4) {
+    a = (a ^ word(i)) * kMul;
+    b = (b ^ word(i + 1)) * kMul;
+    c = (c ^ word(i + 2)) * kMul;
+    d = (d ^ word(i + 3)) * kMul;
+  }
+  for (; i < dim; ++i) a = (a ^ word(i)) * kMul;
+  return MixSeed64(a ^ MixSeed64(b ^ MixSeed64(c ^ MixSeed64(d))));
+}
+
+int64_t MlpMemo::Find(const Mlp* net, const double* row, int64_t dim,
+                      uint64_t hash) const {
+  if (slots_.empty()) return -1;
+  const size_t bytes = static_cast<size_t>(dim) * sizeof(double);
+  const size_t mask = slots_.size() - 1;
+  // The table is at most half full, so the probe reaches an empty slot.
+  for (size_t s = hash & mask;; s = (s + 1) & mask) {
+    const int32_t index = slots_[s];
+    if (index < 0) return -1;
+    const Entry& entry = entries_[static_cast<size_t>(index)];
+    if (entry.hash == hash && entry.net == net &&
+        std::memcmp(keys_.data() + entry.key, row, bytes) == 0) {
+      return index;
+    }
+  }
+}
+
+int64_t MlpMemo::Insert(const Mlp* net, const double* row, int64_t dim,
+                        int64_t out_dim, uint64_t hash) {
+  HFQ_CHECK(entries_.size() < static_cast<size_t>(INT32_MAX));
+  if (2 * (entries_.size() + 1) > slots_.size()) Grow();
+  Entry entry;
+  entry.net = net;
+  entry.hash = hash;
+  entry.key = keys_.size();
+  entry.value = values_.size();
+  keys_.insert(keys_.end(), row, row + dim);
+  values_.resize(values_.size() + static_cast<size_t>(out_dim));
+  const int32_t index = static_cast<int32_t>(entries_.size());
+  entries_.push_back(entry);
+  const size_t mask = slots_.size() - 1;
+  size_t s = hash & mask;
+  while (slots_[s] >= 0) s = (s + 1) & mask;
+  slots_[s] = index;
+  return index;
+}
+
+void MlpMemo::Grow() {
+  const size_t size = std::max<size_t>(64, 2 * slots_.size());
+  slots_.assign(size, -1);
+  const size_t mask = size - 1;
+  for (size_t e = 0; e < entries_.size(); ++e) {
+    size_t s = entries_[e].hash & mask;
+    while (slots_[s] >= 0) s = (s + 1) & mask;
+    slots_[s] = static_cast<int32_t>(e);
+  }
+}
+
+void MlpMemo::Clear() {
+  entries_.clear();
+  keys_.clear();
+  values_.clear();
+  std::fill(slots_.begin(), slots_.end(), -1);
+}
+
+MlpMemoScope::MlpMemoScope(MlpWorkspace* workspace) : workspace_(workspace) {
+  HFQ_CHECK(workspace != nullptr);
+  HFQ_CHECK_MSG(!workspace->memo.open,
+                "a memo scope is already open on this workspace");
+  workspace->memo.Clear();
+  workspace->memo.open = true;
+}
+
+MlpMemoScope::~MlpMemoScope() {
+  workspace_->memo.Clear();
+  workspace_->memo.open = false;
 }
 
 Matrix Mlp::Backward(const Matrix& grad_output, bool need_input_grad) {

@@ -58,7 +58,8 @@ class FrozenPolicy {
   /// searcher batch a whole frontier without changing which plan it picks.
   /// The base implementation loops Probabilities per row (one forward per
   /// row); the built-in policies override it with a single
-  /// Mlp::ForwardBatchInto minibatch forward.
+  /// Mlp::ForwardBatchInto call, which runs at most one minibatch forward
+  /// (none when an MlpMemoScope on `ws` already holds every row).
   virtual std::vector<std::vector<double>> ScoreActionsBatch(
       const std::vector<const std::vector<double>*>& states,
       const std::vector<const std::vector<bool>*>& masks,
@@ -66,7 +67,8 @@ class FrozenPolicy {
 
   /// Batched value head: entry i is bit-identical to
   /// Value(*states[i], *masks[i], ws). Base implementation loops per row;
-  /// built-in policies override with one minibatch forward.
+  /// built-in policies override with one Mlp::ForwardBatchInto call (at
+  /// most one minibatch forward, as above).
   virtual std::vector<double> ValueBatch(
       const std::vector<const std::vector<double>*>& states,
       const std::vector<const std::vector<bool>*>& masks,

@@ -75,6 +75,10 @@ Result<SearchResult> BeamSearch::Search(SearchEnv* env,
                                         ThreadPool* pool) {
   HFQ_CHECK(env != nullptr && ctx.policy != nullptr && ctx.ws != nullptr);
   Stopwatch total;
+  // Every state this search forwards, the greedy rollout's included, is
+  // forwarded once: the root's scoring and children that repeat a state
+  // are served from the memo.
+  const MlpMemoScope memo(ctx.ws);
   const int width = config_.beam_width;
   SearchScratch local_scratch;
   SearchScratch* scratch =

@@ -55,6 +55,9 @@ Result<SearchResult> BestFirstSearch::Search(SearchEnv* env,
   (void)pool;  // Expansions are inherently sequential (each pops the max).
   HFQ_CHECK(env != nullptr && ctx.policy != nullptr && ctx.ws != nullptr);
   Stopwatch total;
+  // Every state this search forwards, the greedy rollout's included, is
+  // forwarded once (see BeamSearch::Search).
+  const MlpMemoScope memo(ctx.ws);
   const int width = config_.beam_width;
   SearchScratch local_scratch;
   SearchScratch* scratch =

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -220,6 +222,50 @@ TEST(HandsFreeTest, TrainRejectsOversizedQueryInsteadOfCrashing) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.ToString().find("max_relations=5"), std::string::npos)
       << status.ToString();
+}
+
+// A published policy generation carries the live weights bit for bit. The
+// live weights are read back through SaveModel, whose 17 significant
+// digits round-trip every double exactly.
+TEST_P(HandsFreeStrategyTest, SnapshotCopiesTheLiveWeightsBitForBit) {
+  const std::string path = ModelPath(
+      std::string("snapshot_") +
+      std::to_string(static_cast<int>(GetParam())));
+  HandsFreeOptimizer optimizer(&testing::SharedEngine(),
+                               TinyConfig(GetParam()));
+  ASSERT_TRUE(optimizer.Train(TinyWorkload(4, 3, 915)).ok());
+  auto snapshot = optimizer.SnapshotPolicy();
+  ASSERT_TRUE(snapshot.ok());
+  ASSERT_TRUE(optimizer.SaveModel(path).ok());
+
+  std::vector<Mlp*> copied;
+  if ((*snapshot)->predictor != nullptr) {
+    copied = {&(*snapshot)->predictor->net()};
+  } else {
+    ASSERT_NE((*snapshot)->agent, nullptr);
+    copied = {&(*snapshot)->agent->policy_net(),
+              &(*snapshot)->agent->value_net()};
+  }
+  std::ifstream in(path);
+  std::string magic, strategy;
+  int max_relations = 0;
+  in >> magic >> strategy >> max_relations;
+  for (Mlp* net : copied) {
+    Result<Mlp> live = Mlp::Load(in);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    std::vector<Matrix*> want = live->Params();
+    std::vector<Matrix*> got = net->Params();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i]->SameShape(*want[i])) << i;
+      EXPECT_EQ(std::memcmp(got[i]->data(), want[i]->data(),
+                            static_cast<size_t>(got[i]->size()) *
+                                sizeof(double)),
+                0)
+          << "parameter matrix " << i;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(HandsFreeTest, SaveLoadRoundTripReproducesPlans) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -550,14 +551,27 @@ TEST(MlpTest, ForwardBatchIntoIsPerRowBitIdentical) {
               << " col " << c;
         }
       }
+      // The same rows in another batch (reversed order) give the same
+      // bits: a row's result does not depend on its neighbours, which is
+      // what lets the memo serve a row from whichever batch forwarded it.
+      Matrix reversed(n, config.input_dim);
+      for (int r = 0; r < n; ++r) reversed.SetRow(n - 1 - r, batch.Row(r));
+      MlpWorkspace reversed_ws;
+      const Matrix& rev = mlp.ForwardBatchInto(reversed, &reversed_ws);
+      for (int r = 0; r < n; ++r) {
+        for (int c = 0; c < config.output_dim; ++c) {
+          EXPECT_EQ(batched.At(r, c), rev.At(n - 1 - r, c))
+              << "act " << static_cast<int>(act) << " n " << n << " row " << r;
+        }
+      }
     }
   }
 }
 
 TEST(MlpTest, WorkspaceCountsForwardCallsAndRows) {
-  // The counting hook the batched-search tests lean on: calls count
-  // network invocations (one per ForwardInto/ForwardBatchInto regardless
-  // of batch rows), rows count the work.
+  // The counting hook the search tests lean on: outside a memo scope,
+  // calls count network invocations (one per ForwardInto/ForwardBatchInto
+  // regardless of batch rows), rows count the work.
   Rng rng(47);
   MlpConfig config;
   config.input_dim = 4;
@@ -578,6 +592,154 @@ TEST(MlpTest, WorkspaceCountsForwardCallsAndRows) {
   (void)mlp.ForwardBatchInto(batch, &ws);
   EXPECT_EQ(ws.forward_calls, 3);  // One invocation...
   EXPECT_EQ(ws.forward_rows, 8);   // ...six rows of work.
+}
+
+// The per-search forward memo (MlpMemoScope). Every case compares against
+// forwards outside any scope, which never touch the memo.
+MlpConfig MemoTestConfig() {
+  MlpConfig config;
+  config.input_dim = 6;
+  config.hidden_dims = {12, 8};
+  config.output_dim = 5;
+  return config;
+}
+
+bool SameBits(const Matrix& a, const Matrix& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(double)) == 0;
+}
+
+TEST(MlpMemoTest, RepeatedRowsAreForwardedOnceAndMatchTheUnscopedForward) {
+  Rng rng(53);
+  Mlp mlp(MemoTestConfig(), &rng);
+  Matrix distinct = RandomMatrix(3, 6, &rng);
+  // Rows 0..6 repeat the three distinct rows: 0, 1, 0, 2, 1, 1, 0.
+  const int pattern[] = {0, 1, 0, 2, 1, 1, 0};
+  Matrix batch(7, 6);
+  for (int r = 0; r < 7; ++r) batch.SetRow(r, distinct.Row(pattern[r]));
+  MlpWorkspace plain_ws;
+  const Matrix expected = mlp.ForwardBatchInto(batch, &plain_ws);
+  EXPECT_EQ(plain_ws.forward_rows, 7);
+  EXPECT_EQ(plain_ws.memo.size(), 0);  // No scope: the memo is untouched.
+
+  MlpWorkspace ws;
+  MlpMemoScope memo(&ws);
+  const Matrix& got = mlp.ForwardBatchInto(batch, &ws);
+  EXPECT_TRUE(SameBits(got, expected));
+  EXPECT_EQ(ws.forward_calls, 1);
+  EXPECT_EQ(ws.forward_rows, 3);  // Each distinct row once.
+  EXPECT_EQ(ws.memo.size(), 3);
+}
+
+TEST(MlpMemoTest, FullyMemoizedCallForwardsNothing) {
+  Rng rng(59);
+  Mlp mlp(MemoTestConfig(), &rng);
+  Matrix batch = RandomMatrix(4, 6, &rng);
+  MlpWorkspace plain_ws;
+  const Matrix expected = mlp.ForwardBatchInto(batch, &plain_ws);
+
+  MlpWorkspace ws;
+  MlpMemoScope memo(&ws);
+  (void)mlp.ForwardBatchInto(batch, &ws);
+  EXPECT_EQ(ws.forward_calls, 1);
+  // Every row, alone and in a new batch order, is already memoized.
+  for (int r = 0; r < 4; ++r) {
+    const Matrix& single = mlp.ForwardInto(batch.Row(r), &ws);
+    EXPECT_TRUE(SameBits(single, expected.Row(r))) << r;
+  }
+  Matrix reordered(2, 6);
+  reordered.SetRow(0, batch.Row(3));
+  reordered.SetRow(1, batch.Row(1));
+  const Matrix& two = mlp.ForwardBatchInto(reordered, &ws);
+  EXPECT_TRUE(SameBits(two.Row(0), expected.Row(3)));
+  EXPECT_TRUE(SameBits(two.Row(1), expected.Row(1)));
+  EXPECT_EQ(ws.forward_calls, 1);
+  EXPECT_EQ(ws.forward_rows, 4);
+  // A batch mixing memoized and new rows forwards only the new one.
+  Matrix mixed(3, 6);
+  mixed.SetRow(0, batch.Row(2));
+  mixed.SetRow(1, RandomMatrix(1, 6, &rng));
+  mixed.SetRow(2, batch.Row(0));
+  const Matrix& partial = mlp.ForwardBatchInto(mixed, &ws);
+  MlpWorkspace check_ws;
+  EXPECT_TRUE(SameBits(partial, mlp.ForwardBatchInto(mixed, &check_ws)));
+  EXPECT_EQ(ws.forward_calls, 2);
+  EXPECT_EQ(ws.forward_rows, 5);
+}
+
+TEST(MlpMemoTest, NetworksOnOneWorkspaceNeverShareEntries) {
+  // Same architecture, different weights: the memo key is the network as
+  // well as the row.
+  Rng rng(61);
+  Mlp a(MemoTestConfig(), &rng);
+  Mlp b(MemoTestConfig(), &rng);
+  Matrix row = RandomMatrix(1, 6, &rng);
+  MlpWorkspace plain_ws;
+  const Matrix expected_a = a.ForwardInto(row, &plain_ws);
+  const Matrix expected_b = b.ForwardInto(row, &plain_ws);
+  ASSERT_FALSE(SameBits(expected_a, expected_b));
+
+  MlpWorkspace ws;
+  MlpMemoScope memo(&ws);
+  EXPECT_TRUE(SameBits(a.ForwardInto(row, &ws), expected_a));
+  EXPECT_TRUE(SameBits(b.ForwardInto(row, &ws), expected_b));
+  EXPECT_EQ(ws.forward_calls, 2);
+  EXPECT_TRUE(SameBits(a.ForwardInto(row, &ws), expected_a));
+  EXPECT_TRUE(SameBits(b.ForwardInto(row, &ws), expected_b));
+  EXPECT_EQ(ws.forward_calls, 2);
+  EXPECT_EQ(ws.memo.size(), 2);
+}
+
+TEST(MlpMemoTest, OverwritingTheReturnedMatrixDoesNotReachTheMemo) {
+  // Callers mask logits in place in the returned matrix; a later hit must
+  // still return the network's own output.
+  Rng rng(67);
+  Mlp mlp(MemoTestConfig(), &rng);
+  Matrix row = RandomMatrix(1, 6, &rng);
+  MlpWorkspace plain_ws;
+  const Matrix expected = mlp.ForwardInto(row, &plain_ws);
+
+  MlpWorkspace ws;
+  MlpMemoScope memo(&ws);
+  mlp.ForwardInto(row, &ws).Fill(-1e9);   // Forwarded, then overwritten.
+  EXPECT_TRUE(SameBits(mlp.ForwardInto(row, &ws), expected));
+  mlp.ForwardInto(row, &ws).Fill(-1e9);   // A hit, then overwritten.
+  EXPECT_TRUE(SameBits(mlp.ForwardInto(row, &ws), expected));
+  EXPECT_EQ(ws.forward_calls, 1);
+}
+
+TEST(MlpMemoTest, NoEntryOutlivesItsScope) {
+  // The lifetime rule that keeps the memo safe across weight updates:
+  // closing the scope clears it, and a scope opened after the weights
+  // changed returns the new weights' outputs.
+  Rng rng(71);
+  Mlp mlp(MemoTestConfig(), &rng);
+  Mlp other(MemoTestConfig(), &rng);
+  Matrix row = RandomMatrix(1, 6, &rng);
+  MlpWorkspace ws;
+  Matrix before;
+  {
+    MlpMemoScope memo(&ws);
+    before = mlp.ForwardInto(row, &ws);
+    EXPECT_EQ(ws.memo.size(), 1);
+  }
+  EXPECT_EQ(ws.memo.size(), 0);
+  mlp.CopyWeightsFrom(other);  // A weight update between two searches.
+  MlpWorkspace plain_ws;
+  const Matrix after = mlp.ForwardInto(row, &plain_ws);
+  ASSERT_FALSE(SameBits(before, after));
+  {
+    MlpMemoScope memo(&ws);
+    EXPECT_TRUE(SameBits(mlp.ForwardInto(row, &ws), after));
+  }
+  EXPECT_EQ(ws.forward_calls, 2);
+}
+
+TEST(MlpMemoDeathTest, SecondScopeOnOneWorkspaceAborts) {
+  MlpWorkspace ws;
+  MlpMemoScope memo(&ws);
+  EXPECT_DEATH({ MlpMemoScope nested(&ws); }, "memo scope is already open");
 }
 
 TEST(MlpTest, ForwardIntoDoesNotDisturbBackwardCaches) {

@@ -4,14 +4,17 @@
 // historic inline greedy inference, best-of-1 and beam-1 degenerate to
 // greedy exactly, best-of-K is monotone non-increasing in K and
 // deterministic at any worker count, beam and best-first search are
-// deterministic, the time-budget path falls back to greedy, and no
-// search mode ever returns a plan costlier than greedy.
+// deterministic, the time-budget path falls back to greedy, no search
+// mode ever returns a plan costlier than greedy, and the per-search
+// forward memo changes no plan while forwarding each distinct state once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "util/stopwatch.h"
@@ -333,16 +336,19 @@ TEST_F(SearchTest, BeamBudgetExpiryMidRoundStopsBeforeRankingForward) {
   config.clock_ms_for_test = ExpireAtCheck(1);
   MlpWorkspace ws;
   SearchResult result = RunSearchWith(policy, config, q, nullptr, &ws);
-  // Exactly one extra forward (the frontier scoring) beyond the greedy
-  // rollout — the round's expansion and ranking forwards never ran.
-  EXPECT_EQ(ws.forward_calls, greedy_forwards + 1);
+  // No forward beyond the greedy rollout's: the round's frontier is the
+  // root, whose scoring the memo serves from the rollout's first forward,
+  // and the value-head ranking forward (rows no forward has seen) never
+  // ran.
+  EXPECT_EQ(ws.forward_calls, greedy_forwards);
   EXPECT_TRUE(result.fell_back_to_greedy);
   EXPECT_EQ(result.actions, greedy.actions);
   EXPECT_EQ(result.cost, greedy.cost);
 }
 
 // Same pin for best-first: expiry after the expansion's policy forward
-// stops before the children's value-head forward.
+// (the root's, served by the memo from the greedy rollout) stops before
+// the children's value-head forward.
 TEST_F(SearchTest, BestFirstBudgetExpiryStopsBeforeValueForward) {
   const Query& q = queries_[0];
   AgentPolicy policy(&trainer_.agent());
@@ -361,7 +367,7 @@ TEST_F(SearchTest, BestFirstBudgetExpiryStopsBeforeValueForward) {
   config.clock_ms_for_test = ExpireAtCheck(1);
   MlpWorkspace ws;
   SearchResult result = RunSearchWith(policy, config, q, nullptr, &ws);
-  EXPECT_EQ(ws.forward_calls, greedy_forwards + 1);
+  EXPECT_EQ(ws.forward_calls, greedy_forwards);
   EXPECT_TRUE(result.fell_back_to_greedy);
   EXPECT_EQ(result.actions, greedy.actions);
   EXPECT_EQ(result.cost, greedy.cost);
@@ -543,26 +549,193 @@ TEST_F(SearchTest, BeamParallelExpansionMatchesSerialAtAnyWorkerCount) {
   }
 }
 
-TEST_F(SearchTest, BeamForwardCallsPerRoundAreWidthInvariant) {
-  // The counting hook pins the tentpole claim: a beam round costs O(1)
-  // network invocations (one frontier forward + one value forward), not
-  // O(frontier). Since every beam of the same query runs the same number
-  // of rounds (all prefixes advance one step per round), total
-  // forward_calls must not move with the width — only forward_rows may.
+TEST_F(SearchTest, BeamForwardCallsPerRoundAreBoundedAtAnyWidth) {
+  // The counting hook pins the batching claim: a beam round costs at most
+  // one policy forward (the whole frontier) and one value forward (all
+  // children), not one per frontier row. The memo can only remove calls:
+  // a round whose frontier was all forwarded before issues no policy
+  // forward. Every prefix advances one step per round, so a beam runs as
+  // many rounds as the greedy rollout has steps.
   AgentPolicy policy(&trainer_.agent());
-  auto count = [&](const Query& q, int width) {
-    SearchConfig config;
-    config.mode = SearchMode::kBeam;
-    config.beam_width = width;
-    MlpWorkspace ws;
-    (void)RunSearchWith(policy, config, q, nullptr, &ws);
-    return std::make_pair(ws.forward_calls, ws.forward_rows);
-  };
   for (const Query& q : queries_) {
-    auto [calls_narrow, rows_narrow] = count(q, 2);
-    auto [calls_wide, rows_wide] = count(q, 8);
-    EXPECT_EQ(calls_narrow, calls_wide) << q.name;
-    EXPECT_GT(rows_wide, rows_narrow) << q.name;  // Width becomes rows.
+    MlpWorkspace greedy_ws;
+    SearchResult greedy =
+        RunSearchWith(policy, SearchConfig(), q, nullptr, &greedy_ws);
+    const int64_t rounds = static_cast<int64_t>(greedy.actions.size());
+    ASSERT_EQ(greedy_ws.forward_calls, rounds);
+    int64_t rows_narrow = 0;
+    for (int width : {1, 2, 4, 8}) {
+      SearchConfig config;
+      config.mode = SearchMode::kBeam;
+      config.beam_width = width;
+      MlpWorkspace ws;
+      (void)RunSearchWith(policy, config, q, nullptr, &ws);
+      EXPECT_GE(ws.forward_calls, greedy_ws.forward_calls)
+          << q.name << " width " << width;
+      EXPECT_LE(ws.forward_calls, greedy_ws.forward_calls + 2 * rounds)
+          << q.name << " width " << width;
+      if (width == 2) rows_narrow = ws.forward_rows;
+      if (width == 8) {
+        EXPECT_GT(ws.forward_rows, rows_narrow) << q.name;  // Width is rows.
+      }
+    }
+  }
+}
+
+// FrozenPolicy decorator that forwards every call through a fresh
+// workspace of its own, so no memo scope is ever open on it: the
+// reference every memoized search must match.
+class UnmemoizedPolicy : public FrozenPolicy {
+ public:
+  explicit UnmemoizedPolicy(const FrozenPolicy* inner) : inner_(inner) {}
+  int Greedy(const std::vector<double>& state, const std::vector<bool>& mask,
+             MlpWorkspace*) const override {
+    MlpWorkspace ws;
+    return inner_->Greedy(state, mask, &ws);
+  }
+  int Sample(const std::vector<double>& state, const std::vector<bool>& mask,
+             Rng* rng, MlpWorkspace*) const override {
+    MlpWorkspace ws;
+    return inner_->Sample(state, mask, rng, &ws);
+  }
+  std::vector<double> Probabilities(const std::vector<double>& state,
+                                    const std::vector<bool>& mask,
+                                    MlpWorkspace*) const override {
+    MlpWorkspace ws;
+    return inner_->Probabilities(state, mask, &ws);
+  }
+  double Value(const std::vector<double>& state, const std::vector<bool>& mask,
+               MlpWorkspace*) const override {
+    MlpWorkspace ws;
+    return inner_->Value(state, mask, &ws);
+  }
+  std::vector<std::vector<double>> ScoreActionsBatch(
+      const std::vector<const std::vector<double>*>& states,
+      const std::vector<const std::vector<bool>*>& masks,
+      MlpWorkspace*) const override {
+    MlpWorkspace ws;
+    return inner_->ScoreActionsBatch(states, masks, &ws);
+  }
+  std::vector<double> ValueBatch(
+      const std::vector<const std::vector<double>*>& states,
+      const std::vector<const std::vector<bool>*>& masks,
+      MlpWorkspace*) const override {
+    MlpWorkspace ws;
+    return inner_->ValueBatch(states, masks, &ws);
+  }
+
+ private:
+  const FrozenPolicy* inner_;
+};
+
+// FrozenPolicy decorator that records the exact bits of every state row
+// it is asked about, per network: `value_net` says whether Value/ValueBatch
+// read a network of their own (AgentPolicy's value net) or the same one as
+// the action methods (PredictorPolicy's single net).
+class RowRecordingPolicy : public FrozenPolicy {
+ public:
+  RowRecordingPolicy(const FrozenPolicy* inner, bool value_net)
+      : inner_(inner), value_net_(value_net) {}
+  int Greedy(const std::vector<double>& state, const std::vector<bool>& mask,
+             MlpWorkspace* ws) const override {
+    Record(state, false);
+    return inner_->Greedy(state, mask, ws);
+  }
+  int Sample(const std::vector<double>& state, const std::vector<bool>& mask,
+             Rng* rng, MlpWorkspace* ws) const override {
+    Record(state, false);
+    return inner_->Sample(state, mask, rng, ws);
+  }
+  std::vector<double> Probabilities(const std::vector<double>& state,
+                                    const std::vector<bool>& mask,
+                                    MlpWorkspace* ws) const override {
+    Record(state, false);
+    return inner_->Probabilities(state, mask, ws);
+  }
+  double Value(const std::vector<double>& state, const std::vector<bool>& mask,
+               MlpWorkspace* ws) const override {
+    Record(state, value_net_);
+    return inner_->Value(state, mask, ws);
+  }
+  std::vector<std::vector<double>> ScoreActionsBatch(
+      const std::vector<const std::vector<double>*>& states,
+      const std::vector<const std::vector<bool>*>& masks,
+      MlpWorkspace* ws) const override {
+    for (const std::vector<double>* state : states) Record(*state, false);
+    return inner_->ScoreActionsBatch(states, masks, ws);
+  }
+  std::vector<double> ValueBatch(
+      const std::vector<const std::vector<double>*>& states,
+      const std::vector<const std::vector<bool>*>& masks,
+      MlpWorkspace* ws) const override {
+    for (const std::vector<double>* state : states) {
+      Record(*state, value_net_);
+    }
+    return inner_->ValueBatch(states, masks, ws);
+  }
+
+  /// Distinct (network, row bits) pairs seen so far.
+  int64_t distinct_rows() const { return static_cast<int64_t>(rows_.size()); }
+
+ private:
+  void Record(const std::vector<double>& state, bool value) const {
+    std::vector<uint64_t> bits(state.size() + 1);
+    bits[0] = value ? 1 : 0;
+    std::memcpy(bits.data() + 1, state.data(), state.size() * sizeof(double));
+    rows_.insert(std::move(bits));
+  }
+
+  const FrozenPolicy* inner_;
+  bool value_net_;
+  mutable std::set<std::vector<uint64_t>> rows_;
+};
+
+TEST_F(SearchTest, MemoizedSearchMatchesUnmemoizedReference) {
+  // The memo must not move a plan: for every mode and both built-in
+  // policy kinds, a search over the caller's workspace (memoized for the
+  // search's length) picks exactly what the unmemoized reference picks.
+  RewardPredictor predictor(env_.state_dim(), env_.action_dim(),
+                            RewardPredictorConfig(), /*seed=*/20260731);
+  AgentPolicy agent_policy(&trainer_.agent());
+  PredictorPolicy predictor_policy(&predictor);
+  for (const FrozenPolicy* policy :
+       std::vector<const FrozenPolicy*>{&agent_policy, &predictor_policy}) {
+    UnmemoizedPolicy reference(policy);
+    for (const char* spec :
+         {"greedy", "best-of-8", "beam-4", "best-first-3"}) {
+      auto config = ParseSearchSpec(spec);
+      ASSERT_TRUE(config.ok());
+      for (const Query& q : queries_) {
+        SearchResult a = RunSearchWith(*policy, *config, q);
+        SearchResult b = RunSearchWith(reference, *config, q);
+        EXPECT_EQ(a.actions, b.actions) << spec << " " << q.name;
+        EXPECT_EQ(a.cost, b.cost) << spec << " " << q.name;
+        EXPECT_EQ(a.rollouts, b.rollouts) << spec << " " << q.name;
+      }
+    }
+  }
+}
+
+TEST_F(SearchTest, SearchForwardsEachDistinctStateOnce) {
+  // Within one search, forward_rows counts each distinct (network, state)
+  // row exactly once — however often the search asks about it.
+  RewardPredictor predictor(env_.state_dim(), env_.action_dim(),
+                            RewardPredictorConfig(), /*seed=*/20260731);
+  PredictorPolicy predictor_policy(&predictor);
+  AgentPolicy agent_policy(&trainer_.agent());
+  SearchConfig config;
+  config.mode = SearchMode::kBeam;
+  config.beam_width = 4;
+  for (const Query& q : queries_) {
+    RowRecordingPolicy by_predictor(&predictor_policy, /*value_net=*/false);
+    MlpWorkspace ws;
+    (void)RunSearchWith(by_predictor, config, q, nullptr, &ws);
+    EXPECT_EQ(ws.forward_rows, by_predictor.distinct_rows()) << q.name;
+
+    RowRecordingPolicy by_agent(&agent_policy, /*value_net=*/true);
+    MlpWorkspace agent_ws;
+    (void)RunSearchWith(by_agent, config, q, nullptr, &agent_ws);
+    EXPECT_EQ(agent_ws.forward_rows, by_agent.distinct_rows()) << q.name;
   }
 }
 
