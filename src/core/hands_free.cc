@@ -6,10 +6,22 @@
 
 #include "exec/executor.h"
 #include "util/check.h"
+#include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace hfq {
+namespace {
+
+// A network built with `live`'s own architecture and activation that holds
+// a bit-exact copy of its weights, and none of its training caches.
+Mlp WeightsCopyOf(Mlp& live, Rng* rng) {
+  Mlp copy(live.config(), rng);
+  copy.CopyWeightsFrom(live);
+  return copy;
+}
+
+}  // namespace
 
 const char* TrainingStrategyName(TrainingStrategy strategy) {
   switch (strategy) {
@@ -215,17 +227,18 @@ Result<std::unique_ptr<PolicySnapshot>> HandsFreeOptimizer::SnapshotPolicy() {
   if (!trained_) {
     return Status::FailedPrecondition("Train() before SnapshotPolicy()");
   }
-  // A fresh model (clean optimizer and replay state) built with the live
-  // network's architecture, then given a bit-exact copy of the live
-  // weights. The snapshot shares nothing with the live model.
+  // A fresh model (clean optimizer and replay state) whose networks are
+  // weight copies of the live ones, each with its own architecture and
+  // activation, so a model loaded from any file publishes exactly. The
+  // snapshot shares nothing with the live model.
   auto snapshot = std::make_unique<PolicySnapshot>();
+  Rng init_rng(config_.seed);
   if (config_.strategy == TrainingStrategy::kLearningFromDemonstration) {
-    Mlp& live = lfd_->predictor().net();
-    RewardPredictorConfig predictor_config = config_.lfd.predictor;
-    predictor_config.hidden_dims = live.config().hidden_dims;
     snapshot->predictor = std::make_unique<RewardPredictor>(
-        env_->state_dim(), env_->action_dim(), predictor_config, config_.seed);
-    snapshot->predictor->net().CopyWeightsFrom(live);
+        env_->state_dim(), env_->action_dim(), config_.lfd.predictor,
+        config_.seed);
+    snapshot->predictor->net() =
+        WeightsCopyOf(lfd_->predictor().net(), &init_rng);
     snapshot->view =
         std::make_unique<PredictorPolicy>(snapshot->predictor.get());
     return snapshot;
@@ -234,12 +247,10 @@ Result<std::unique_ptr<PolicySnapshot>> HandsFreeOptimizer::SnapshotPolicy() {
       config_.strategy == TrainingStrategy::kCostModelBootstrapping
           ? bootstrap_->agent()
           : incremental_->agent();
-  PolicyGradientConfig agent_config = live.config();
-  agent_config.hidden_dims = live.policy_net().config().hidden_dims;
   snapshot->agent = std::make_unique<PolicyGradientAgent>(
-      env_->state_dim(), env_->action_dim(), agent_config, config_.seed);
-  snapshot->agent->policy_net().CopyWeightsFrom(live.policy_net());
-  snapshot->agent->value_net().CopyWeightsFrom(live.value_net());
+      env_->state_dim(), env_->action_dim(), live.config(), config_.seed);
+  snapshot->agent->policy_net() = WeightsCopyOf(live.policy_net(), &init_rng);
+  snapshot->agent->value_net() = WeightsCopyOf(live.value_net(), &init_rng);
   snapshot->view = std::make_unique<AgentPolicy>(snapshot->agent.get());
   return snapshot;
 }

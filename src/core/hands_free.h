@@ -218,9 +218,10 @@ class HandsFreeOptimizer {
   const FrozenPolicy* policy() const { return frozen_policy_.get(); }
 
   /// Deep-copies the trained model into an independently-owned
-  /// PolicySnapshot: a freshly built model of the same architecture whose
-  /// weights are copied from the live networks (Mlp::CopyWeightsFrom), so
-  /// the copy is bit-exact. The snapshot's FrozenPolicy view returns
+  /// PolicySnapshot: a freshly built model whose networks are rebuilt with
+  /// the live networks' own architectures and activations and given their
+  /// weights (Mlp::CopyWeightsFrom), so the copy is bit-exact whatever
+  /// model LoadModel read. The snapshot's FrozenPolicy view returns
   /// bit-identical inference results to policy() at the moment of the
   /// call, and is immune to later training updates: the serving layer's
   /// non-blocking policy-swap primitive. Fails if not trained. Must not run

@@ -1,6 +1,7 @@
 #include "nn/mlp.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <istream>
@@ -99,15 +100,17 @@ Matrix& Mlp::ForwardInto(const Matrix& input, MlpWorkspace* workspace) const {
   HFQ_CHECK(!layers_.empty());
   HFQ_CHECK(workspace != nullptr);
   HFQ_CHECK(input.cols() == config_.input_dim);
+  const int64_t rows = input.rows();
+  const int64_t in_dim = config_.input_dim;
+  const int64_t out_dim = config_.output_dim;
   MlpMemo& memo = workspace->memo;
-  if (!memo.open) return ForwardLayers(input, workspace);
+  if (!memo.open || !memo.HasRoom(rows, in_dim + out_dim)) {
+    return ForwardLayers(input, workspace);
+  }
 
   // Resolve every row to a memo entry. A row not seen before gets a new,
   // still unfilled entry, which a later copy of it in this batch finds, so
   // each distinct row is forwarded once.
-  const int64_t rows = input.rows();
-  const int64_t in_dim = config_.input_dim;
-  const int64_t out_dim = config_.output_dim;
   const size_t in_bytes = static_cast<size_t>(in_dim) * sizeof(double);
   const size_t out_bytes = static_cast<size_t>(out_dim) * sizeof(double);
   memo.row_entries.resize(static_cast<size_t>(rows));
@@ -171,26 +174,18 @@ Matrix& Mlp::ForwardBatchInto(const Matrix& inputs,
 }
 
 uint64_t MlpMemo::Hash(const Mlp* net, const double* row, int64_t dim) {
-  // Four independent xor-multiply chains over the row's 64-bit words, so
-  // the multiplies overlap. Each step is a bijection of its chain, so two
-  // rows that differ in one word always hash apart.
-  constexpr uint64_t kMul = 0x517CC1B727220A95ull;
-  auto word = [row](int64_t i) {
+  // One xor-multiply chain over the row's 64-bit words, seeded with the
+  // network; Find confirms every match with a full row compare. A multiply
+  // carries bits only upward, and features such as 0.0 and 1.0 differ only
+  // in their top bits, so the chain rotates those down before each word:
+  // without it, rows of such features hash to at most 4096 values.
+  uint64_t h = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(net));
+  for (int64_t i = 0; i < dim; ++i) {
     uint64_t bits = 0;
     std::memcpy(&bits, row + i, sizeof(bits));
-    return bits;
-  };
-  uint64_t a = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(net));
-  uint64_t b = 1, c = 2, d = 3;
-  int64_t i = 0;
-  for (; i + 4 <= dim; i += 4) {
-    a = (a ^ word(i)) * kMul;
-    b = (b ^ word(i + 1)) * kMul;
-    c = (c ^ word(i + 2)) * kMul;
-    d = (d ^ word(i + 3)) * kMul;
+    h = (std::rotl(h, 32) ^ bits) * 1099511628211ull;
   }
-  for (; i < dim; ++i) a = (a ^ word(i)) * kMul;
-  return MixSeed64(a ^ MixSeed64(b ^ MixSeed64(c ^ MixSeed64(d))));
+  return MixSeed64(h);
 }
 
 int64_t MlpMemo::Find(const Mlp* net, const double* row, int64_t dim,
@@ -212,7 +207,6 @@ int64_t MlpMemo::Find(const Mlp* net, const double* row, int64_t dim,
 
 int64_t MlpMemo::Insert(const Mlp* net, const double* row, int64_t dim,
                         int64_t out_dim, uint64_t hash) {
-  HFQ_CHECK(entries_.size() < static_cast<size_t>(INT32_MAX));
   if (2 * (entries_.size() + 1) > slots_.size()) Grow();
   Entry entry;
   entry.net = net;

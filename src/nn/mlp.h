@@ -33,8 +33,15 @@ class Mlp;
 /// lookup hashes the row word by word and then compares the whole row, so
 /// a hash collision never aliases two rows. Rows live in flat buffers that
 /// are cleared, not freed, when a scope opens or closes, so a search
-/// allocates nothing per entry once the buffers have grown.
+/// allocates nothing per entry once the buffers have grown. The rows held
+/// are bounded by kMaxDoubles, so a search of any width grows, and leaves
+/// on its workspace, buffers of a few MiB at most.
 struct MlpMemo {
+  /// Bound on the memoized rows' doubles, inputs and outputs (4 MiB). A
+  /// call whose rows could take the memo past it forwards without reading
+  /// or writing the memo.
+  static constexpr int64_t kMaxDoubles = int64_t{1} << 19;
+
   bool open = false;
 
   /// Word-wise hash of `row` (`dim` doubles) under `net`.
@@ -54,6 +61,13 @@ struct MlpMemo {
   }
   /// Number of memoized rows, over all networks.
   int64_t size() const { return static_cast<int64_t>(entries_.size()); }
+  /// Whether `rows` more rows of `row_doubles` (input and output) fit
+  /// under kMaxDoubles.
+  bool HasRoom(int64_t rows, int64_t row_doubles) const {
+    return static_cast<int64_t>(keys_.size() + values_.size()) +
+               rows * row_doubles <=
+           kMaxDoubles;
+  }
   /// Drops every entry (buffers keep their capacity).
   void Clear();
 

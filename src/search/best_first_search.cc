@@ -56,7 +56,10 @@ Result<SearchResult> BestFirstSearch::Search(SearchEnv* env,
   HFQ_CHECK(env != nullptr && ctx.policy != nullptr && ctx.ws != nullptr);
   Stopwatch total;
   // Every state this search forwards, the greedy rollout's included, is
-  // forwarded once (see BeamSearch::Search).
+  // forwarded once (see BeamSearch::Search). Siblings often share a state
+  // (the access-path and join-operator stages do not encode the choice
+  // just made), and expanding each of them would repeat the same policy
+  // forward and the same children's value forward.
   const MlpMemoScope memo(ctx.ws);
   const int width = config_.beam_width;
   SearchScratch local_scratch;

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -24,10 +23,6 @@ Result<SearchResult> BestOfKSearch::Search(SearchEnv* env,
                                            ThreadPool* pool) {
   HFQ_CHECK(env != nullptr && ctx.policy != nullptr && ctx.ws != nullptr);
   Stopwatch total;
-  // Every state forwarded through the caller's workspace, the greedy
-  // rollout's included, is forwarded once: sampled rollouts all start at
-  // the greedy rollout's first state and often share later ones.
-  const MlpMemoScope memo(ctx.ws);
   const int k = config_.best_of_k;
   SearchScratch local_scratch;
   SearchScratch* scratch =
@@ -61,16 +56,13 @@ Result<SearchResult> BestOfKSearch::Search(SearchEnv* env,
   if (k > 1) {
     const int stride = std::max(1, num_workers);
     RunOnWorkers(num_workers > 1 ? pool : nullptr, stride, [&](int w) {
-      // The single-worker run reuses the caller's workspace (and its memo
-      // scope) and scratch; parallel workers bring their own, each with
-      // its own scope (rollout r's plan depends only on the weights and
-      // its derived stream, never on the grouping).
+      // The single-worker run reuses the caller's workspace and scratch;
+      // parallel workers bring their own (rollout r's plan depends only on
+      // the weights and its derived stream, never on the grouping).
       MlpWorkspace worker_ws;
       SearchScratch worker_scratch;
       MlpWorkspace* ws = stride == 1 ? ctx.ws : &worker_ws;
       SearchScratch* sc = stride == 1 ? scratch : &worker_scratch;
-      std::optional<MlpMemoScope> worker_memo;
-      if (ws == &worker_ws) worker_memo.emplace(&worker_ws);
 
       struct Rollout {
         int index;

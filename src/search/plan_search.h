@@ -132,9 +132,11 @@ class PlanSearch {
   /// winning action sequence so `env` ends Done() at the returned plan.
   /// `pool` (optional) parallelizes strategies that fan out independent
   /// rollouts; passing nullptr runs serially with identical results.
-  /// Every strategy but greedy memoizes network outputs on `ctx.ws` for
+  /// Beam and best-first search memoize network outputs on `ctx.ws` for
   /// the length of the call (an MlpMemoScope), so each distinct state is
-  /// forwarded once; no scope may already be open on `ctx.ws`.
+  /// forwarded once; no scope may already be open on `ctx.ws`. Greedy and
+  /// best-of-K forward without a memo: a greedy rollout never repeats a
+  /// state, and best-of-K's lock-step rollouts rarely repeat a whole step.
   virtual Result<SearchResult> Search(SearchEnv* env,
                                       const SearchContext& ctx,
                                       ThreadPool* pool = nullptr) = 0;

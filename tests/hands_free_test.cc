@@ -13,8 +13,10 @@
 #include <unistd.h>
 
 #include "core/hands_free.h"
+#include "nn/mlp.h"
 #include "plan/physical_plan.h"
 #include "tests/test_common.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace hfq {
@@ -266,6 +268,84 @@ TEST_P(HandsFreeStrategyTest, SnapshotCopiesTheLiveWeightsBitForBit) {
     }
   }
   std::remove(path.c_str());
+}
+
+// LoadModel takes any networks whose input and output fit, so a model file
+// may hold a tanh policy and a value net whose hidden layers differ from
+// the policy's. Publishing such a model keeps each network's own
+// architecture and activation, and the snapshot answers exactly as the
+// live policy does.
+TEST_P(HandsFreeStrategyTest, SnapshotOfALoadedModelKeepsEachArchitecture) {
+  const std::string path = ModelPath(
+      std::string("arch_") + std::to_string(static_cast<int>(GetParam())));
+  const HandsFreeConfig config = TinyConfig(GetParam());
+  HandsFreeOptimizer optimizer(&testing::SharedEngine(), config);
+  const int state_dim = optimizer.env().state_dim();
+  const int action_dim = optimizer.env().action_dim();
+  const bool predictor =
+      GetParam() == TrainingStrategy::kLearningFromDemonstration;
+
+  Rng rng(23);
+  MlpConfig policy_config;
+  policy_config.input_dim = state_dim;
+  policy_config.output_dim = action_dim;
+  policy_config.hidden_dims = {24};
+  policy_config.activation = Activation::kTanh;
+  MlpConfig value_config;
+  value_config.input_dim = state_dim;
+  value_config.output_dim = 1;
+  value_config.hidden_dims = {16, 8};
+  value_config.activation = Activation::kSigmoid;
+  std::vector<Mlp> saved = {Mlp(policy_config, &rng)};
+  if (!predictor) saved.push_back(Mlp(value_config, &rng));
+  {
+    std::ofstream out(path);
+    out << "hfq-handsfree-v1 " << TrainingStrategyName(GetParam()) << " "
+        << config.max_relations << "\n";
+    for (Mlp& net : saved) ASSERT_TRUE(net.Save(out).ok());
+  }
+  ASSERT_TRUE(optimizer.LoadModel(path).ok());
+  std::remove(path.c_str());
+  auto snapshot = optimizer.SnapshotPolicy();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+
+  std::vector<Mlp*> copied;
+  if (predictor) {
+    copied = {&(*snapshot)->predictor->net()};
+  } else {
+    copied = {&(*snapshot)->agent->policy_net(),
+              &(*snapshot)->agent->value_net()};
+  }
+  ASSERT_EQ(copied.size(), saved.size());
+  for (size_t n = 0; n < saved.size(); ++n) {
+    EXPECT_EQ(copied[n]->config().hidden_dims, saved[n].config().hidden_dims);
+    EXPECT_EQ(copied[n]->config().activation, saved[n].config().activation);
+    std::vector<Matrix*> want = saved[n].Params();
+    std::vector<Matrix*> got = copied[n]->Params();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i]->SameShape(*want[i])) << n << "/" << i;
+      EXPECT_EQ(std::memcmp(got[i]->data(), want[i]->data(),
+                            static_cast<size_t>(got[i]->size()) *
+                                sizeof(double)),
+                0)
+          << "network " << n << ", parameter matrix " << i;
+    }
+  }
+
+  const FrozenPolicy& live = *optimizer.policy();
+  const FrozenPolicy& published = *(*snapshot)->view;
+  MlpWorkspace live_ws;
+  MlpWorkspace published_ws;
+  const std::vector<bool> mask(static_cast<size_t>(action_dim), true);
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> state(static_cast<size_t>(state_dim));
+    for (double& x : state) x = rng.Uniform();
+    EXPECT_EQ(published.Probabilities(state, mask, &published_ws),
+              live.Probabilities(state, mask, &live_ws));
+    EXPECT_EQ(published.Value(state, mask, &published_ws),
+              live.Value(state, mask, &live_ws));
+  }
 }
 
 TEST(HandsFreeTest, SaveLoadRoundTripReproducesPlans) {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/layer.h"
 #include "nn/loss.h"
@@ -734,6 +737,53 @@ TEST(MlpMemoTest, NoEntryOutlivesItsScope) {
     EXPECT_TRUE(SameBits(mlp.ForwardInto(row, &ws), after));
   }
   EXPECT_EQ(ws.forward_calls, 2);
+}
+
+TEST(MlpMemoTest, HashSeparatesRowsOfZerosAndOnes) {
+  // 0.0 and 1.0 differ only in their exponent bits, and state rows are
+  // mostly such features. Distinct rows must still spread over the whole
+  // hash range, or every lookup walks a long probe chain.
+  Rng rng(79);
+  std::set<std::vector<double>> rows;
+  while (rows.size() < 2000) {
+    std::vector<double> row(254, 0.0);
+    for (double& x : row) x = rng.UniformInt(0, 7) == 0 ? 1.0 : 0.0;
+    rows.insert(std::move(row));
+  }
+  std::set<uint64_t> hashes;
+  for (const std::vector<double>& row : rows) {
+    hashes.insert(MlpMemo::Hash(nullptr, row.data(), 254));
+  }
+  EXPECT_EQ(hashes.size(), rows.size());
+}
+
+TEST(MlpMemoTest, AFullMemoForwardsUnmemoized) {
+  // The memo holds at most MlpMemo::kMaxDoubles of rows, so a search of
+  // any width keeps (and leaves on its workspace) a bounded memo. Once a
+  // call would pass the bound, calls forward as if no scope were open,
+  // with the same bits.
+  MlpConfig config;
+  config.input_dim = 4095;
+  config.output_dim = 1;
+  Rng rng(73);
+  Mlp mlp(config, &rng);
+  const int64_t fit = MlpMemo::kMaxDoubles / 4096;  // Rows the memo holds.
+  Matrix rows = RandomMatrix(fit + 8, 4095, &rng);
+  MlpWorkspace plain_ws;
+  const Matrix expected = mlp.ForwardBatchInto(rows, &plain_ws);
+
+  MlpWorkspace ws;
+  MlpMemoScope memo(&ws);
+  for (int64_t r = 0; r < rows.rows(); ++r) {
+    EXPECT_TRUE(SameBits(mlp.ForwardInto(rows.Row(r), &ws), expected.Row(r)))
+        << r;
+  }
+  EXPECT_EQ(ws.memo.size(), fit);
+  EXPECT_EQ(ws.forward_calls, fit + 8);
+  // The full memo is bypassed, for a row it holds too.
+  EXPECT_TRUE(SameBits(mlp.ForwardInto(rows.Row(0), &ws), expected.Row(0)));
+  EXPECT_EQ(ws.forward_calls, fit + 9);
+  EXPECT_EQ(ws.memo.size(), fit);
 }
 
 TEST(MlpMemoDeathTest, SecondScopeOnOneWorkspaceAborts) {

@@ -717,25 +717,29 @@ TEST_F(SearchTest, MemoizedSearchMatchesUnmemoizedReference) {
 }
 
 TEST_F(SearchTest, SearchForwardsEachDistinctStateOnce) {
-  // Within one search, forward_rows counts each distinct (network, state)
-  // row exactly once — however often the search asks about it.
+  // Within one beam or best-first search, forward_rows counts each
+  // distinct (network, state) row exactly once — however often the search
+  // asks about it.
   RewardPredictor predictor(env_.state_dim(), env_.action_dim(),
                             RewardPredictorConfig(), /*seed=*/20260731);
   PredictorPolicy predictor_policy(&predictor);
   AgentPolicy agent_policy(&trainer_.agent());
-  SearchConfig config;
-  config.mode = SearchMode::kBeam;
-  config.beam_width = 4;
-  for (const Query& q : queries_) {
-    RowRecordingPolicy by_predictor(&predictor_policy, /*value_net=*/false);
-    MlpWorkspace ws;
-    (void)RunSearchWith(by_predictor, config, q, nullptr, &ws);
-    EXPECT_EQ(ws.forward_rows, by_predictor.distinct_rows()) << q.name;
+  for (const char* spec : {"beam-4", "best-first-3"}) {
+    auto config = ParseSearchSpec(spec);
+    ASSERT_TRUE(config.ok());
+    for (const Query& q : queries_) {
+      RowRecordingPolicy by_predictor(&predictor_policy, /*value_net=*/false);
+      MlpWorkspace ws;
+      (void)RunSearchWith(by_predictor, *config, q, nullptr, &ws);
+      EXPECT_EQ(ws.forward_rows, by_predictor.distinct_rows())
+          << spec << " " << q.name;
 
-    RowRecordingPolicy by_agent(&agent_policy, /*value_net=*/true);
-    MlpWorkspace agent_ws;
-    (void)RunSearchWith(by_agent, config, q, nullptr, &agent_ws);
-    EXPECT_EQ(agent_ws.forward_rows, by_agent.distinct_rows()) << q.name;
+      RowRecordingPolicy by_agent(&agent_policy, /*value_net=*/true);
+      MlpWorkspace agent_ws;
+      (void)RunSearchWith(by_agent, *config, q, nullptr, &agent_ws);
+      EXPECT_EQ(agent_ws.forward_rows, by_agent.distinct_rows())
+          << spec << " " << q.name;
+    }
   }
 }
 
