@@ -6,7 +6,6 @@
 #define HFQ_BENCH_BENCH_COMMON_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -97,11 +96,10 @@ class ExpertNormalizedCostReward : public RewardSignal {
  public:
   explicit ExpertNormalizedCostReward(Engine* engine) : engine_(engine) {}
 
-  double Score(const Query& query, const PlanNode& plan) override {
-    last_cost_.store(plan.est_cost);
-    return -std::log10(std::max(1.0, plan.est_cost) / ExpertCost(query));
+  PlanScore Score(const Query& query, const PlanNode& plan) override {
+    return {-std::log10(std::max(1.0, plan.est_cost) / ExpertCost(query)),
+            plan.est_cost};
   }
-  double LastMetric() const override { return last_cost_.load(); }
   std::string name() const override { return "expert_normalized_cost"; }
 
  private:
@@ -121,7 +119,6 @@ class ExpertNormalizedCostReward : public RewardSignal {
   Engine* engine_;
   std::mutex mu_;
   std::map<std::string, double> expert_cost_;
-  std::atomic<double> last_cost_{0.0};
 };
 
 /// The ReJOIN setup of the paper's case study, wired to one engine: the

@@ -22,6 +22,7 @@
 #include "optimizer/plan_gen.h"
 #include "plan/physical_plan.h"
 #include "rejoin/featurizer.h"
+#include "rl/reward_predictor.h"
 #include "serve/plan_server.h"
 #include "sql/parser.h"
 
@@ -544,7 +545,9 @@ BENCHMARK(BM_FrontierForwardPerCandidate)->Arg(4)->Arg(16)->Arg(64);
 
 // The same N frontier rows evaluated in ONE matrix forward (the batched
 // search core's inner loop). Row i of the output is bit-identical to the
-// per-candidate run above; the speedup is pure batching.
+// per-candidate run above. The batch pays twice: one network call instead
+// of N, and the matmul kernel's 4-row register tiles load each weight
+// vector once per four rows instead of once per row.
 void BM_FrontierForwardBatched(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(1);
@@ -562,6 +565,64 @@ void BM_FrontierForwardBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FrontierForwardBatched)->Arg(4)->Arg(16)->Arg(64);
+
+// The reward predictor at the benchmark driver's shape: 254 state
+// features, hidden layers of 128 and 128, 100 actions.
+constexpr int kPredictorStateDim = 254;
+constexpr int kPredictorActions = 100;
+
+// A state row shaped like the featurizer's: mostly 0/1 indicators.
+std::vector<double> PredictorState(Rng* rng) {
+  std::vector<double> state(static_cast<size_t>(kPredictorStateDim));
+  for (double& v : state) v = rng->Uniform() < 0.1 ? 1.0 : 0.0;
+  return state;
+}
+
+// One TrainSteps minibatch at the default batch of 64: the forward, the
+// loss, the backward, gradient clipping and the Adam step — what every
+// retrain (learning from demonstration, the teacher loop, a serving
+// update) repeats.
+void BM_RewardPredictorTrainSteps(benchmark::State& state) {
+  RewardPredictor predictor(kPredictorStateDim, kPredictorActions,
+                            RewardPredictorConfig(), /*seed=*/41);
+  Rng rng(42);
+  for (int i = 0; i < 512; ++i) {
+    OutcomeExample example;
+    example.state = PredictorState(&rng);
+    example.action =
+        static_cast<int>(rng.UniformInt(0, kPredictorActions - 1));
+    example.target = rng.Normal();
+    example.from_expert = i % 2 == 0;
+    predictor.AddExample(std::move(example));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predictor.TrainSteps(1));
+  }
+}
+BENCHMARK(BM_RewardPredictorTrainSteps)->Unit(benchmark::kMicrosecond);
+
+// The predictor's forward over 1 row (a greedy step), 4 rows (a beam-4
+// frontier) and 64 rows (a training minibatch).
+void BM_PredictorForward(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  RewardPredictor predictor(kPredictorStateDim, kPredictorActions,
+                            RewardPredictorConfig(), /*seed=*/41);
+  Rng rng(43);
+  Matrix batch = StackRows(rows, kPredictorStateDim,
+                           [&rng, state_row = std::vector<double>()](
+                               int64_t) mutable -> const std::vector<double>& {
+                             state_row = PredictorState(&rng);
+                             return state_row;
+                           });
+  MlpWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        predictor.net().ForwardBatchInto(batch, &ws).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_PredictorForward)->Arg(1)->Arg(4)->Arg(64);
 
 // Plan-time search cost: one searched inference of a 7-relation query
 // under each mode. Greedy is the single-rollout floor; best-of-8 pays ~8

@@ -63,7 +63,7 @@ double TrainAndEvaluate(FullPipelineEnv* env, RewardSignal* reward,
       episode.steps.push_back(std::move(t));
     }
     if (!episode.steps.empty()) {
-      episode.steps.back().reward = reward->Score(q, *env->FinalPlan());
+      episode.steps.back().reward = reward->Score(q, *env->FinalPlan()).reward;
     }
     if (e >= episodes * 3 / 4) {  // Tail window: post-training behaviour.
       cost_sum += env->FinalPlan()->est_cost;

@@ -88,7 +88,8 @@ int main() {
           episode.steps.push_back(std::move(t));
         }
         if (!episode.steps.empty()) {
-          episode.steps.back().reward = reward.Score(q, *env.FinalPlan());
+          episode.steps.back().reward =
+              reward.Score(q, *env.FinalPlan()).reward;
           pending.push_back(std::move(episode));
           if (pending.size() >= 8) {
             agent.Update(pending);

@@ -20,10 +20,15 @@
 # simulated one in BENCH_eval_measured_smoke.json — numbers are
 # machine-dependent and not gated). The eval build uses portable codegen
 # (HFQ_NATIVE_ARCH=OFF, own build dir) so the regret numbers are
-# comparable across machines.
+# comparable across machines; like CI's eval-smoke job it also runs
+# nn_test there, the network kernels' narrow (SSE2) tiles against their
+# scalar references.
 #
 # --bench-smoke additionally executes the batched-search-core benchmarks
-# (BM_PlanSearch + BM_FrontierForward), the DP plan-generator scaling
+# (BM_PlanSearch + BM_FrontierForward), the network benchmarks at the
+# benchmark driver's predictor shape (BM_PredictorForward at 1, 4 and 64
+# rows, BM_RewardPredictorTrainSteps: one 64-example training step), the
+# DP plan-generator scaling
 # sweep (BM_DpEnumerate: chain/star/clique x 8/12/16/20 relations; the
 # n=12 cells walk the full historic subset space, up to a few hundred ms
 # each), the expert optimizer end to end (BM_ExpertOptimizeDp: DP plus its
@@ -104,6 +109,7 @@ else
 fi
 
 if [[ "$eval_gate" == ON ]]; then
+  ./tests/nn_test
   # --ceiling pins the search-as-teacher greedy-regret win absolutely,
   # independent of the committed reference (mirrors CI's eval-smoke job).
   python3 ../scripts/diff_eval_regret.py ../BENCH_eval_smoke.json \
@@ -118,7 +124,7 @@ if [[ "$bench_smoke" == ON ]]; then
   # Mirrors CI's bench-smoke step (local builds keep HFQ_BUILD_BENCH on
   # in every configuration, so the binary is always here).
   ./bench/bench_micro_benchmarks \
-    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_ExpertOptimize|BM_PlanServer|BM_Execute|BM_RejoinRolloutCollection' \
+    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_PredictorForward|BM_RewardPredictorTrainSteps|BM_DpEnumerate|BM_ExpertOptimize|BM_PlanServer|BM_Execute|BM_RejoinRolloutCollection' \
     --benchmark_min_time=0.01
   python3 ../perfbench/test_digest.py adhoc eval serve
 fi

@@ -34,6 +34,10 @@ void BootstrapTrainer::RunPhase(
     const std::function<void(const BootstrapEpisodeStats&)>& on_episode) {
   std::vector<BootstrapEpisodeStats> stats(
       static_cast<size_t>(std::max(0, episodes)));
+  // Both latency rewards simulate each plan to score it, and the score
+  // carries that latency; the cost reward does not, so Phase 1 (and its
+  // calibration) simulates in the harvest (the oracle is thread-safe).
+  const bool scored_by_latency = trainer_.reward() != &cost_reward_;
   trainer_.Train(
       workload, episodes,
       [&](const TrainedEpisode& trained) {
@@ -56,12 +60,15 @@ void BootstrapTrainer::RunPhase(
         }
         if (on_episode) on_episode(s);
       },
-      [&](int index, const FullPipelineEnv& env, const Episode&) {
-        // Latency simulation shares the thread-safe oracle.
+      [&](int index, const FullPipelineEnv& env, const Episode& episode,
+          const PlanScore& score) {
         BootstrapEpisodeStats& s = stats[static_cast<size_t>(index)];
         const PlanNode* plan = env.FinalPlan();
         s.cost = plan->est_cost;
-        s.latency_ms = engine_->latency().SimulateMs(*env.query(), *plan);
+        s.latency_ms =
+            scored_by_latency && !episode.steps.empty()
+                ? score.metric
+                : engine_->latency().SimulateMs(*env.query(), *plan);
       });
 }
 

@@ -84,7 +84,8 @@ class BootstrapTrainer {
 
  private:
   /// Trains one phase on the current reward; the worker harvests
-  /// each plan's cost and simulated latency for the stats.
+  /// each plan's cost and simulated latency for the stats, simulating
+  /// only when the reward did not.
   void RunPhase(const std::vector<Query>& workload, int episodes, int phase,
                 const std::function<void(const BootstrapEpisodeStats&)>&
                     on_episode);

@@ -201,7 +201,7 @@ Status HandsFreeOptimizer::RefineWithTeacher(const std::vector<Query>& workload,
   task.pool = teacher_pool_.get();
   if (demo_reward != nullptr) {
     task.demo_reward = [this, &workload, demo_reward](size_t i) {
-      return demo_reward->Score(workload[i], *env_->FinalPlan());
+      return demo_reward->Score(workload[i], *env_->FinalPlan()).reward;
     };
   }
   if (config_.strategy == TrainingStrategy::kLearningFromDemonstration) {

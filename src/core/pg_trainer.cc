@@ -9,11 +9,13 @@ namespace {
 
 /// One sampled episode of `query` on `env`, drawing actions from the frozen
 /// `agent` through the thread-safe inference path. The finished plan is
-/// scored once and the score becomes the last transition's reward (an
-/// episode without decisions has nowhere to put one, so it is not scored).
+/// scored once into `*score` and the reward becomes the last transition's
+/// (an episode without decisions has nowhere to put one, so it is not
+/// scored and `*score` stays zero).
 Episode RunSampledEpisode(const PolicyGradientAgent& agent,
                           RewardSignal* reward, FullPipelineEnv* env,
-                          const Query& query, Rng* rng, MlpWorkspace* ws) {
+                          const Query& query, Rng* rng, MlpWorkspace* ws,
+                          PlanScore* score) {
   env->SetQuery(&query);
   env->Reset();
   Episode episode;
@@ -25,8 +27,10 @@ Episode RunSampledEpisode(const PolicyGradientAgent& agent,
     env->Step(t.action);
     episode.steps.push_back(std::move(t));
   }
+  *score = PlanScore();
   if (!episode.steps.empty()) {
-    episode.steps.back().reward = reward->Score(query, *env->FinalPlan());
+    *score = reward->Score(query, *env->FinalPlan());
+    episode.steps.back().reward = score->reward;
   }
   return episode;
 }
@@ -94,10 +98,11 @@ void PolicyGradientTrainer::Train(const std::vector<Query>& workload,
       const size_t w = static_cast<size_t>(worker);
       MlpWorkspace ws;
       for (size_t i = w; i < collected.size(); i += num_workers) {
+        PlanScore score;
         collected[i] = RunSampledEpisode(agent_, reward_, envs[w],
-                                         *queries[i], rngs[w], &ws);
+                                         *queries[i], rngs[w], &ws, &score);
         if (harvest) {
-          harvest(done + static_cast<int>(i), *envs[w], collected[i]);
+          harvest(done + static_cast<int>(i), *envs[w], collected[i], score);
         }
       }
     });

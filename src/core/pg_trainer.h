@@ -31,10 +31,13 @@ struct TrainedEpisode {
 class PolicyGradientTrainer {
  public:
   /// Runs on the collecting worker right after episode `index` of the
-  /// Train call finished, while `env` still holds its finished plan. Calls
-  /// for different episodes may run concurrently.
-  using HarvestFn = std::function<void(int index, const FullPipelineEnv& env,
-                                       const Episode& episode)>;
+  /// Train call finished, while `env` still holds its finished plan;
+  /// `score` is the reward's score of that plan (zero for an episode
+  /// without steps, which is not scored). Calls for different episodes may
+  /// run concurrently.
+  using HarvestFn =
+      std::function<void(int index, const FullPipelineEnv& env,
+                         const Episode& episode, const PlanScore& score)>;
   /// Runs on the calling thread in episode order, after the episode joined
   /// the update batch (and after the update it completed, if any).
   using EpisodeFn = std::function<void(const TrainedEpisode&)>;

@@ -9,16 +9,15 @@ namespace hfq {
 
 ReciprocalCostReward::ReciprocalCostReward(double scale) : scale_(scale) {}
 
-double ReciprocalCostReward::Score(const Query& query, const PlanNode& plan) {
+PlanScore ReciprocalCostReward::Score(const Query& query,
+                                     const PlanNode& plan) {
   (void)query;
-  last_cost_.store(plan.est_cost);
-  return scale_ / std::max(1.0, plan.est_cost);
+  return {scale_ / std::max(1.0, plan.est_cost), plan.est_cost};
 }
 
-double NegLogCostReward::Score(const Query& query, const PlanNode& plan) {
+PlanScore NegLogCostReward::Score(const Query& query, const PlanNode& plan) {
   (void)query;
-  last_cost_.store(plan.est_cost);
-  return -std::log10(std::max(1.0, plan.est_cost));
+  return {-std::log10(std::max(1.0, plan.est_cost)), plan.est_cost};
 }
 
 NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator)
@@ -26,10 +25,10 @@ NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator)
   HFQ_CHECK(simulator != nullptr);
 }
 
-double NegLogLatencyReward::Score(const Query& query, const PlanNode& plan) {
+PlanScore NegLogLatencyReward::Score(const Query& query,
+                                    const PlanNode& plan) {
   const double latency_ms = simulator_->SimulateMs(query, plan);
-  last_latency_ms_.store(latency_ms);
-  return -std::log10(std::max(1.0, latency_ms));
+  return {-std::log10(std::max(1.0, latency_ms)), latency_ms};
 }
 
 ScaledLatencyReward::ScaledLatencyReward(LatencySimulator* simulator)
@@ -58,11 +57,11 @@ double ScaledLatencyReward::ScaleLatency(double latency_ms) const {
          (latency_ms - latency_min_) / denom * (cost_max_ - cost_min_);
 }
 
-double ScaledLatencyReward::Score(const Query& query, const PlanNode& plan) {
+PlanScore ScaledLatencyReward::Score(const Query& query,
+                                    const PlanNode& plan) {
   const double latency_ms = simulator_->SimulateMs(query, plan);
-  last_latency_ms_.store(latency_ms);
   double scaled = std::max(1.0, ScaleLatency(latency_ms));
-  return -std::log10(scaled);
+  return {-std::log10(scaled), latency_ms};
 }
 
 }  // namespace hfq

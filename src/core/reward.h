@@ -10,7 +10,6 @@
 #ifndef HFQ_CORE_REWARD_H_
 #define HFQ_CORE_REWARD_H_
 
-#include <atomic>
 #include <string>
 
 #include "exec/latency_model.h"
@@ -18,24 +17,27 @@
 
 namespace hfq {
 
+/// One scored plan.
+struct PlanScore {
+  double reward = 0.0;
+  /// The raw metric the reward was computed from: the plan's cost for cost
+  /// rewards, its simulated latency in ms for latency rewards.
+  double metric = 0.0;
+};
+
 /// Scores completed, annotated physical plans; higher reward = better plan.
 /// Only learners call it, once per finished training episode: the
 /// policy-gradient trainer (core/pg_trainer.h) and the teacher loop's demo
 /// replay (rl/teacher_loop.h). Implementations here are thread-safe: Score
-/// reads the plan it is given and touches only per-call state plus an
-/// atomic "last metric", so one signal instance may be shared by concurrent
-/// rollout workers (LastMetric then reports *a* recent score, which is only
-/// meaningful for single-threaded instrumentation).
+/// reads the plan it is given and touches only per-call state, so one
+/// signal instance may be shared by concurrent rollout workers.
 class RewardSignal {
  public:
   virtual ~RewardSignal() = default;
 
-  /// Reward for `plan`, annotated by the cost model that built it.
-  virtual double Score(const Query& query, const PlanNode& plan) = 0;
-
-  /// The raw metric (cost units or milliseconds) behind the last Score —
-  /// for instrumentation and calibration.
-  virtual double LastMetric() const = 0;
+  /// Reward for `plan`, annotated by the cost model that built it, with
+  /// the metric behind it.
+  virtual PlanScore Score(const Query& query, const PlanNode& plan) = 0;
 
   virtual std::string name() const = 0;
 };
@@ -45,25 +47,19 @@ class RewardSignal {
 class ReciprocalCostReward : public RewardSignal {
  public:
   explicit ReciprocalCostReward(double scale = 1e5);
-  double Score(const Query& query, const PlanNode& plan) override;
-  double LastMetric() const override { return last_cost_.load(); }
+  PlanScore Score(const Query& query, const PlanNode& plan) override;
   std::string name() const override { return "reciprocal_cost"; }
 
  private:
   double scale_;
-  std::atomic<double> last_cost_{0.0};
 };
 
 /// reward = -log10(cost) — a range-stable cost reward for the Section 5
 /// experiments, read from the plan's est_cost.
 class NegLogCostReward : public RewardSignal {
  public:
-  double Score(const Query& query, const PlanNode& plan) override;
-  double LastMetric() const override { return last_cost_.load(); }
+  PlanScore Score(const Query& query, const PlanNode& plan) override;
   std::string name() const override { return "neg_log_cost"; }
-
- private:
-  std::atomic<double> last_cost_{0.0};
 };
 
 /// reward = -log10(simulated latency ms) — the "true" objective.
@@ -71,13 +67,11 @@ class NegLogLatencyReward : public RewardSignal {
  public:
   /// `simulator` must outlive the signal.
   explicit NegLogLatencyReward(LatencySimulator* simulator);
-  double Score(const Query& query, const PlanNode& plan) override;
-  double LastMetric() const override { return last_latency_ms_.load(); }
+  PlanScore Score(const Query& query, const PlanNode& plan) override;
   std::string name() const override { return "neg_log_latency"; }
 
  private:
   LatencySimulator* simulator_;
-  std::atomic<double> last_latency_ms_{0.0};
 };
 
 /// Section 5.2's reward scaling: latency is linearly mapped into the
@@ -99,8 +93,7 @@ class ScaledLatencyReward : public RewardSignal {
   /// The scaled value r_l for a raw latency (exposed for tests).
   double ScaleLatency(double latency_ms) const;
 
-  double Score(const Query& query, const PlanNode& plan) override;
-  double LastMetric() const override { return last_latency_ms_.load(); }
+  PlanScore Score(const Query& query, const PlanNode& plan) override;
   std::string name() const override { return "scaled_latency"; }
 
  private:
@@ -108,7 +101,6 @@ class ScaledLatencyReward : public RewardSignal {
   bool calibrated_ = false;
   double cost_min_ = 0.0, cost_max_ = 1.0;
   double latency_min_ = 0.0, latency_max_ = 1.0;
-  std::atomic<double> last_latency_ms_{0.0};
 };
 
 }  // namespace hfq

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/simd.h"
+
 namespace hfq {
 
 Linear::Linear(int64_t in_dim, int64_t out_dim, Rng* rng)
@@ -26,14 +28,7 @@ void Linear::ForwardInto(const Matrix& input, Matrix* out) const {
 
 Matrix Linear::Backward(const Matrix& grad_output) {
   BackwardParamsOnly(grad_output);
-  // grad_input = grad_output * W^T. For a minibatch, transposing W once is
-  // negligible next to the matmul and routes it through the blocked
-  // row-streaming kernel (per-element summation order matches MatmulTransB
-  // bit-for-bit); for a single row the transpose would dominate, so go
-  // through W directly.
-  if (grad_output.rows() > 1) {
-    return Matmul(grad_output, Transposed(weight_));
-  }
+  // grad_input = grad_output * W^T.
   return MatmulTransB(grad_output, weight_);
 }
 
@@ -59,17 +54,23 @@ Matrix Relu::Forward(const Matrix& input) {
 
 void Relu::ForwardInto(const Matrix& input, Matrix* out) const {
   *out = input;
-  for (int64_t i = 0; i < out->size(); ++i) {
-    out->data()[i] = std::max(0.0, out->data()[i]);
-  }
+  // std::max(0.0, x): x when 0 < x, else +0.0 (NaN and -0.0 included).
+  double* d = out->data();
+  simd::ForEach(out->size(), [d]<int W>(int64_t i) {
+    const simd::Vec<W> x = simd::Load<W>(d + i);
+    simd::Store<W>(d + i, 0.0 < x ? x : simd::Vec<W>{});
+  });
 }
 
 Matrix Relu::Backward(const Matrix& grad_output) {
   HFQ_CHECK(grad_output.SameShape(cached_input_));
   Matrix grad = grad_output;
-  for (int64_t i = 0; i < grad.size(); ++i) {
-    if (cached_input_.data()[i] <= 0.0) grad.data()[i] = 0.0;
-  }
+  double* g = grad.data();
+  const double* in = cached_input_.data();
+  simd::ForEach(grad.size(), [g, in]<int W>(int64_t i) {
+    const simd::Vec<W> x = simd::Load<W>(in + i);
+    simd::Store<W>(g + i, x <= 0.0 ? simd::Vec<W>{} : simd::Load<W>(g + i));
+  });
   return grad;
 }
 

@@ -1,7 +1,11 @@
 #include "nn/matrix.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
+
+#include "nn/simd.h"
 
 namespace hfq {
 
@@ -55,7 +59,11 @@ void Matrix::Fill(double value) {
 
 void Matrix::Add(const Matrix& other) {
   HFQ_CHECK(SameShape(other));
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
+  double* d = data();
+  const double* o = other.data();
+  simd::ForEach(size(), [d, o]<int W>(int64_t i) {
+    simd::Store<W>(d + i, simd::Load<W>(d + i) + simd::Load<W>(o + i));
+  });
 }
 
 void Matrix::Axpy(double scale, const Matrix& other) {
@@ -64,7 +72,10 @@ void Matrix::Axpy(double scale, const Matrix& other) {
 }
 
 void Matrix::Scale(double scale) {
-  for (auto& v : data_) v *= scale;
+  double* d = data();
+  simd::ForEach(size(), [d, scale]<int W>(int64_t i) {
+    simd::Store<W>(d + i, simd::Load<W>(d + i) * scale);
+  });
 }
 
 void Matrix::Hadamard(const Matrix& other) {
@@ -113,164 +124,222 @@ std::string Matrix::ToString(int max_rows, int max_cols) const {
   return out.str();
 }
 
+namespace {
+
+using simd::kLanes;
+using simd::Vec;
+
+// Register tiles. A tile of kTileRows rows by kTileVectors kLanes-wide
+// vectors holds its accumulators in vector registers for the whole shared
+// dimension: enough independent sums to hide the multiply-add latency,
+// while the accumulators, one step's B vectors and a broadcast A value
+// still fit the target's registers (32 with AVX-512, 16 with AVX and SSE2;
+// without FMA each product also needs a scratch register).
+constexpr int kTileRows = 4;
+#if defined(__AVX512F__)
+constexpr int kTileVectors = 4;  // 4 x 32 columns, 16 accumulators.
+#elif defined(__AVX__) && defined(__FMA__)
+constexpr int kTileVectors = 3;  // 4 x 12 columns, 12 accumulators.
+#else
+constexpr int kTileVectors = 2;  // 4 x 4 columns with SSE2, 8 accumulators.
+#endif
+constexpr int64_t kTileCols = int64_t{kTileVectors} * kLanes;
+
+// One product C = A B, C (m x n) row-major with row stride n. A is read
+// through strides, A(i, p) = a[i * a_row + p * a_col], so one kernel serves
+// x W (a_col = 1) and X^T G (a_row = 1); B's rows are contiguous,
+// B(p, j) = b[p * b_row + j].
+struct Product {
+  const double* a;
+  int64_t a_row;
+  int64_t a_col;
+  const double* b;
+  int64_t b_row;
+  double* c;
+  int64_t n;
+  /// The shared-dimension indices of the current row block, ascending.
+  const int64_t* steps;
+  int64_t num_steps;
+};
+
+// The micro-kernel: the R x (NV * W) block of C at (i0, j0). Each element
+// is accumulated from +0.0 over the block's steps in ascending order, as
+// acc += A(i, p) * B(p, j), exactly like the scalar triple loop.
+template <int R, int W, int NV>
+void Tile(const Product& x, int64_t i0, int64_t j0) {
+  Vec<W> acc[R][NV] = {};
+  const double* a = x.a + i0 * x.a_row;
+  const double* b = x.b + j0;
+  for (int64_t q = 0; q < x.num_steps; ++q) {
+    const int64_t p = x.steps[q];
+    const double* b_row = b + p * x.b_row;
+    Vec<W> bv[NV];
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) bv[v] = simd::Load<W>(b_row + v * W);
+    const double* a_col = a + p * x.a_col;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      const double ar = a_col[r * x.a_row];
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) acc[r][v] += ar * bv[v];
+    }
+  }
+  double* c = x.c + i0 * x.n + j0;
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) simd::Store<W>(c + r * x.n + v * W, acc[r][v]);
+  }
+}
+
+// Columns [j, n) when fewer than kLanes remain: one tile of each narrower
+// power-of-two width that fits, so at most one column runs scalar.
+template <int R, int W>
+void NarrowColumns(const Product& x, int64_t i0, int64_t j) {
+  if (x.n - j >= W) {
+    Tile<R, W, 1>(x, i0, j);
+    j += W;
+  }
+  if constexpr (W > 1) NarrowColumns<R, W / 2>(x, i0, j);
+}
+
+// The remainder tile of `vectors` (< kTileVectors) whole kLanes vectors.
+template <int R, int NV>
+void RemainderVectors(const Product& x, int64_t i0, int64_t j,
+                      int64_t vectors) {
+  if constexpr (NV > 0) {
+    if (vectors == NV) {
+      Tile<R, kLanes, NV>(x, i0, j);
+    } else {
+      RemainderVectors<R, NV - 1>(x, i0, j, vectors);
+    }
+  }
+}
+
+// Rows [i0, i0 + R) of C. A zero A(i, p) adds an exact zero to a finite
+// sum, so a step where every row of the block reads zero is skipped: the
+// sparse 0/1 feature rows of a first layer skip most of their steps.
+template <int R>
+void RowBlock(Product x, int64_t i0, int64_t k, int64_t* steps) {
+  const double* a = x.a + i0 * x.a_row;
+  int64_t count = 0;
+  for (int64_t p = 0; p < k; ++p) {
+    bool nonzero = false;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) nonzero |= a[r * x.a_row + p * x.a_col] != 0.0;
+    steps[count] = p;
+    count += nonzero ? 1 : 0;
+  }
+  x.steps = steps;
+  x.num_steps = count;
+  int64_t j = 0;
+  for (; j + kTileCols <= x.n; j += kTileCols) {
+    Tile<R, kLanes, kTileVectors>(x, i0, j);
+  }
+  const int64_t vectors = (x.n - j) / kLanes;
+  RemainderVectors<R, kTileVectors - 1>(x, i0, j, vectors);
+  NarrowColumns<R, kLanes / 2>(x, i0, j + vectors * kLanes);
+}
+
+// C (m x n) = A (m x k) B (k x n); every element of C is written.
+void Gemm(int64_t m, int64_t n, int64_t k, const double* a, int64_t a_row,
+          int64_t a_col, const double* b, int64_t b_row, double* c) {
+  Product x{a, a_row, a_col, b, b_row, c, n, nullptr, 0};
+  std::vector<int64_t> steps(static_cast<size_t>(k));
+  int64_t i0 = 0;
+  for (; i0 + kTileRows <= m; i0 += kTileRows) {
+    RowBlock<kTileRows>(x, i0, k, steps.data());
+  }
+  switch (m - i0) {
+    case 3:
+      RowBlock<3>(x, i0, k, steps.data());
+      break;
+    case 2:
+      RowBlock<2>(x, i0, k, steps.data());
+      break;
+    case 1:
+      RowBlock<1>(x, i0, k, steps.data());
+      break;
+    default:
+      break;
+  }
+}
+
+}  // namespace
+
 Matrix Matmul(const Matrix& a, const Matrix& b) {
   Matrix out;
   MatmulInto(a, b, &out);
   return out;
 }
 
-void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out_ptr) {
+void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   HFQ_CHECK(a.cols() == b.rows());
-  HFQ_CHECK(out_ptr != &a && out_ptr != &b);
-  Matrix& out = *out_ptr;
-  out.ResizeZeroed(a.rows(), b.cols());
-  const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-  // i-k-j loop order: streams through b and out rows sequentially. `out` is
-  // checked distinct from a/b above — __restrict lets the inner axpy loops
-  // vectorize. Rows of `a` are processed four at a time so each
-  // sweep of `b` (the large weight matrix in NN use) serves four output
-  // rows: minibatched forwards/backwards are bandwidth-bound on `b`, and
-  // the blocking cuts that traffic 4x. Per-element summation order is the
-  // plain i-k-j order either way, so results are bit-identical.
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* a0 = a.data() + (i + 0) * k;
-    const double* a1 = a.data() + (i + 1) * k;
-    const double* a2 = a.data() + (i + 2) * k;
-    const double* a3 = a.data() + (i + 3) * k;
-    double* __restrict o0 = out.data() + (i + 0) * n;
-    double* __restrict o1 = out.data() + (i + 1) * n;
-    double* __restrict o2 = out.data() + (i + 2) * n;
-    double* __restrict o3 = out.data() + (i + 3) * n;
-    for (int64_t p = 0; p < k; ++p) {
-      const double a0p = a0[p], a1p = a1[p], a2p = a2[p], a3p = a3[p];
-      if (a0p == 0.0 && a1p == 0.0 && a2p == 0.0 && a3p == 0.0) continue;
-      const double* __restrict b_row = b.data() + p * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const double bj = b_row[j];
-        o0[j] += a0p * bj;
-        o1[j] += a1p * bj;
-        o2[j] += a2p * bj;
-        o3[j] += a3p * bj;
-      }
-    }
-  }
-  for (; i < m; ++i) {
-    double* __restrict out_row = out.data() + i * n;
-    const double* a_row = a.data() + i * k;
-    for (int64_t p = 0; p < k; ++p) {
-      const double a_ip = a_row[p];
-      if (a_ip == 0.0) continue;
-      const double* __restrict b_row = b.data() + p * n;
-      for (int64_t j = 0; j < n; ++j) out_row[j] += a_ip * b_row[j];
-    }
-  }
+  HFQ_CHECK(out != &a && out != &b);
+  out->ResizeZeroed(a.rows(), b.cols());
+  Gemm(a.rows(), b.cols(), a.cols(), a.data(), a.cols(), 1, b.data(),
+       b.cols(), out->data());
 }
 
 Matrix MatmulTransA(const Matrix& a, const Matrix& b) {
   HFQ_CHECK(a.rows() == b.rows());
   Matrix out(a.cols(), b.cols());
-  const int64_t k = a.rows(), m = a.cols(), n = b.cols();
-  // p indexes the shared (batch) dimension; each out element accumulates p
-  // in ascending order, matching the unblocked loop bit-for-bit.
-  int64_t p = 0;
-  for (; p + 4 <= k; p += 4) {
-    const double* a0 = a.data() + (p + 0) * m;
-    const double* a1 = a.data() + (p + 1) * m;
-    const double* a2 = a.data() + (p + 2) * m;
-    const double* a3 = a.data() + (p + 3) * m;
-    const double* __restrict b0 = b.data() + (p + 0) * n;
-    const double* __restrict b1 = b.data() + (p + 1) * n;
-    const double* __restrict b2 = b.data() + (p + 2) * n;
-    const double* __restrict b3 = b.data() + (p + 3) * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const double a0i = a0[i], a1i = a1[i], a2i = a2[i], a3i = a3[i];
-      if (a0i == 0.0 && a1i == 0.0 && a2i == 0.0 && a3i == 0.0) continue;
-      double* __restrict out_row = out.data() + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        double acc = out_row[j];
-        acc += a0i * b0[j];
-        acc += a1i * b1[j];
-        acc += a2i * b2[j];
-        acc += a3i * b3[j];
-        out_row[j] = acc;
-      }
-    }
-  }
-  for (; p < k; ++p) {
-    const double* a_row = a.data() + p * m;
-    const double* __restrict b_row = b.data() + p * n;
-    for (int64_t i = 0; i < m; ++i) {
-      const double a_pi = a_row[i];
-      if (a_pi == 0.0) continue;
-      double* __restrict out_row = out.data() + i * n;
-      for (int64_t j = 0; j < n; ++j) out_row[j] += a_pi * b_row[j];
-    }
-  }
+  Gemm(a.cols(), b.cols(), a.rows(), a.data(), 1, a.cols(), b.data(),
+       b.cols(), out.data());
   return out;
 }
 
 Matrix MatmulTransB(const Matrix& a, const Matrix& b) {
   HFQ_CHECK(a.cols() == b.cols());
+  // The kernel streams rows of its right operand, so b^T is packed first.
+  const Matrix bt = Transposed(b);
   Matrix out(a.rows(), b.rows());
-  const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-  // Four rows of `a` share each streamed row of `b`; the per-row dot
-  // products accumulate p in ascending order exactly as the scalar loop.
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double* __restrict a0 = a.data() + (i + 0) * k;
-    const double* __restrict a1 = a.data() + (i + 1) * k;
-    const double* __restrict a2 = a.data() + (i + 2) * k;
-    const double* __restrict a3 = a.data() + (i + 3) * k;
-    for (int64_t j = 0; j < n; ++j) {
-      const double* __restrict b_row = b.data() + j * k;
-      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-      for (int64_t p = 0; p < k; ++p) {
-        const double bp = b_row[p];
-        acc0 += a0[p] * bp;
-        acc1 += a1[p] * bp;
-        acc2 += a2[p] * bp;
-        acc3 += a3[p] * bp;
-      }
-      out.At(i + 0, j) = acc0;
-      out.At(i + 1, j) = acc1;
-      out.At(i + 2, j) = acc2;
-      out.At(i + 3, j) = acc3;
-    }
-  }
-  for (; i < m; ++i) {
-    const double* __restrict a_row = a.data() + i * k;
-    double* out_row = out.data() + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const double* __restrict b_row = b.data() + j * k;
-      double acc = 0.0;
-      for (int64_t p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      out_row[j] = acc;
-    }
-  }
+  Gemm(a.rows(), b.rows(), a.cols(), a.data(), a.cols(), 1, bt.data(),
+       bt.cols(), out.data());
   return out;
 }
 
 Matrix Transposed(const Matrix& m) {
-  Matrix out(m.cols(), m.rows());
-  for (int64_t r = 0; r < m.rows(); ++r) {
-    for (int64_t c = 0; c < m.cols(); ++c) out.At(c, r) = m.At(r, c);
+  const int64_t rows = m.rows(), cols = m.cols();
+  Matrix out(cols, rows);
+  const double* src = m.data();
+  double* dst = out.data();
+  // Square blocks keep both the reads and the writes within a few cache
+  // lines per block.
+  constexpr int64_t kBlock = 16;
+  for (int64_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const int64_t r1 = std::min(rows, r0 + kBlock);
+    for (int64_t c0 = 0; c0 < cols; c0 += kBlock) {
+      const int64_t c1 = std::min(cols, c0 + kBlock);
+      for (int64_t r = r0; r < r1; ++r) {
+        for (int64_t c = c0; c < c1; ++c) dst[c * rows + r] = src[r * cols + c];
+      }
+    }
   }
   return out;
 }
 
 Matrix ColumnSum(const Matrix& m) {
   Matrix out(1, m.cols());
+  // Row by row, so each column sums its rows in ascending order.
+  double* sum = out.data();
   for (int64_t r = 0; r < m.rows(); ++r) {
-    for (int64_t c = 0; c < m.cols(); ++c) out.At(0, c) += m.At(r, c);
+    const double* row = m.data() + r * m.cols();
+    simd::ForEach(m.cols(), [sum, row]<int W>(int64_t c) {
+      simd::Store<W>(sum + c, simd::Load<W>(sum + c) + simd::Load<W>(row + c));
+    });
   }
   return out;
 }
 
 void AddRowVectorInPlace(Matrix* m, const Matrix& row) {
   HFQ_CHECK(row.rows() == 1 && row.cols() == m->cols());
+  const double* add = row.data();
   for (int64_t r = 0; r < m->rows(); ++r) {
-    for (int64_t c = 0; c < m->cols(); ++c) m->At(r, c) += row.At(0, c);
+    double* dst = m->data() + r * m->cols();
+    simd::ForEach(m->cols(), [dst, add]<int W>(int64_t c) {
+      simd::Store<W>(dst + c, simd::Load<W>(dst + c) + simd::Load<W>(add + c));
+    });
   }
 }
 

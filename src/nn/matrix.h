@@ -1,7 +1,10 @@
 // A small dense row-major matrix of doubles: the numeric workhorse of the
-// from-scratch neural-network library. Sized for the tiny MLPs the paper's
-// methods need (inputs of a few hundred, hidden layers of ~128), so clarity
-// beats BLAS-level tuning; the inner gemm loop is still cache-friendly.
+// from-scratch neural-network library, sized for the small MLPs the
+// paper's methods need (inputs of a few hundred, hidden layers of ~128).
+// The three products (x W, X^T G, G W^T) run through one register-tiled
+// micro-kernel (matrix.cc) in the compile target's vectors, and the
+// elementwise passes of a training step run lane-wise (nn/simd.h); both
+// compute exactly the bits of the scalar loops they replaced.
 #ifndef HFQ_NN_MATRIX_H_
 #define HFQ_NN_MATRIX_H_
 
@@ -122,12 +125,14 @@ Matrix StackRows(int64_t count, int64_t dim, RowFn row_of) {
   return m;
 }
 
-/// out = a * b. Shapes: (m x k) * (k x n) -> (m x n).
+/// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). Every product below
+/// accumulates each output element from +0.0 over the shared dimension in
+/// ascending order, as acc += a * b: the naive triple loop's bits, and a
+/// row's result never depends on the other rows of its batch.
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
 /// *out = a * b, reusing out's allocation when possible. `out` must not
-/// alias a or b. Summation order is identical to Matmul (bit-identical
-/// results).
+/// alias a or b.
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// out = a^T * b. Shapes: (k x m)^T * (k x n) -> (m x n).

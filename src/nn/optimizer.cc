@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/simd.h"
 #include "util/check.h"
 
 namespace hfq {
@@ -48,19 +49,29 @@ void Adam::Step(const std::vector<Matrix*>& params,
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const double beta1 = beta1_, beta2 = beta2_, lr = lr_, eps = epsilon_;
   for (size_t i = 0; i < params.size(); ++i) {
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
     Matrix* g = grads[i];
-    HFQ_CHECK(m.SameShape(*g));
-    for (int64_t k = 0; k < g->size(); ++k) {
-      double gk = g->data()[k];
-      m.data()[k] = beta1_ * m.data()[k] + (1.0 - beta1_) * gk;
-      v.data()[k] = beta2_ * v.data()[k] + (1.0 - beta2_) * gk * gk;
-      double mhat = m.data()[k] / bc1;
-      double vhat = v.data()[k] / bc2;
-      params[i]->data()[k] -= lr_ * mhat / (std::sqrt(vhat) + epsilon_);
-    }
+    HFQ_CHECK(m_[i].SameShape(*g));
+    double* p = params[i]->data();
+    double* m = m_[i].data();
+    double* v = v_[i].data();
+    const double* gd = g->data();
+    // The bias corrections stay divisions and the step a square root and a
+    // division, as in the scalar update: each is correctly rounded lane by
+    // lane, where a multiply by a reciprocal would not be.
+    simd::ForEach(g->size(), [=]<int W>(int64_t k) {
+      using V = simd::Vec<W>;
+      const V gk = simd::Load<W>(gd + k);
+      const V mk = beta1 * simd::Load<W>(m + k) + (1.0 - beta1) * gk;
+      const V vk = beta2 * simd::Load<W>(v + k) + (1.0 - beta2) * gk * gk;
+      simd::Store<W>(m + k, mk);
+      simd::Store<W>(v + k, vk);
+      const V mhat = mk / bc1;
+      const V vhat = vk / bc2;
+      simd::Store<W>(p + k, simd::Load<W>(p + k) -
+                                lr * mhat / (simd::Sqrt<W>(vhat) + eps));
+    });
   }
 }
 

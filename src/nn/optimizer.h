@@ -61,6 +61,11 @@ class Adam : public GradientOptimizer {
   /// e.g. an unscaled Phase 1 -> Phase 2 switch in bootstrapping).
   void ResetState();
 
+  /// The first and second moment estimates, parallel to the parameters of
+  /// the last Step (empty before the first).
+  const std::vector<Matrix>& first_moments() const { return m_; }
+  const std::vector<Matrix>& second_moments() const { return v_; }
+
  private:
   double lr_;
   double beta1_;

@@ -1,7 +1,5 @@
 #include "rl/teacher_loop.h"
 
-#include <sstream>
-#include <string>
 #include <utility>
 
 #include "util/check.h"
@@ -27,12 +25,10 @@ double AgentTeacherStudent::Learn(const std::vector<TeacherDemo>& demos) {
   return loss;
 }
 
-Status AgentTeacherStudent::SaveWeights(std::ostream& out) {
-  return agent_->Save(out);
-}
-
-Status AgentTeacherStudent::LoadWeights(std::istream& in) {
-  return agent_->LoadWeights(in);
+std::vector<Matrix*> AgentTeacherStudent::Params() {
+  std::vector<Matrix*> params = agent_->policy_net().Params();
+  for (Matrix* p : agent_->value_net().Params()) params.push_back(p);
+  return params;
 }
 
 PredictorTeacherStudent::PredictorTeacherStudent(RewardPredictor* predictor,
@@ -58,12 +54,8 @@ double PredictorTeacherStudent::Learn(const std::vector<TeacherDemo>& demos) {
   return predictor_->TrainSteps(train_steps_);
 }
 
-Status PredictorTeacherStudent::SaveWeights(std::ostream& out) {
-  return predictor_->Save(out);
-}
-
-Status PredictorTeacherStudent::LoadWeights(std::istream& in) {
-  return predictor_->LoadWeights(in);
+std::vector<Matrix*> PredictorTeacherStudent::Params() {
+  return predictor_->net().Params();
 }
 
 Result<std::vector<TeacherIterationStats>> RunTeacherLoop(
@@ -101,12 +93,9 @@ Result<std::vector<TeacherIterationStats>> RunTeacherLoop(
   };
 
   double best_mean = greedy_mean();
-  std::string best_weights;
-  {
-    std::ostringstream snapshot;
-    HFQ_RETURN_IF_ERROR(task.student->SaveWeights(snapshot));
-    best_weights = snapshot.str();
-  }
+  // The best weights so far, copied matrix by matrix.
+  std::vector<Matrix> best_weights;
+  for (const Matrix* p : task.student->Params()) best_weights.push_back(*p);
 
   for (int iteration = 0; iteration < config.iterations; ++iteration) {
     TeacherIterationStats row;
@@ -171,16 +160,15 @@ Result<std::vector<TeacherIterationStats>> RunTeacherLoop(
     //    worse (keep_best_weights), which makes greedy_mean_cost
     //    non-increasing across the returned rows by construction.
     const double mean = greedy_mean();
+    const std::vector<Matrix*> params = task.student->Params();
+    HFQ_CHECK(params.size() == best_weights.size());
     if (config.keep_best_weights && mean > best_mean) {
-      std::istringstream snapshot(best_weights);
-      HFQ_RETURN_IF_ERROR(task.student->LoadWeights(snapshot));
+      for (size_t j = 0; j < params.size(); ++j) *params[j] = best_weights[j];
       row.rolled_back = true;
       row.greedy_mean_cost = best_mean;
     } else {
       best_mean = mean;
-      std::ostringstream snapshot;
-      HFQ_RETURN_IF_ERROR(task.student->SaveWeights(snapshot));
-      best_weights = snapshot.str();
+      for (size_t j = 0; j < params.size(); ++j) best_weights[j] = *params[j];
       row.greedy_mean_cost = mean;
     }
     stats.push_back(row);

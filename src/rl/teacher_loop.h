@@ -17,7 +17,6 @@
 #define HFQ_RL_TEACHER_LOOP_H_
 
 #include <functional>
-#include <iosfwd>
 #include <vector>
 
 #include "rl/env.h"
@@ -58,7 +57,7 @@ struct TeacherDemo {
 };
 
 /// The trainee side of the loop: anything that can learn from replayed
-/// demonstrations and snapshot/restore its weights.
+/// demonstrations and expose its trainable weights.
 class TeacherStudent {
  public:
   virtual ~TeacherStudent() = default;
@@ -67,11 +66,12 @@ class TeacherStudent {
   /// loss. Called learn_passes times per iteration.
   virtual double Learn(const std::vector<TeacherDemo>& demos) = 0;
 
-  /// Weight-only snapshot/restore used by keep_best_weights rollback.
-  /// (Optimizer moments are not restored; greedy evaluation depends only
-  /// on weights, so rollback still pins the reported metric.)
-  virtual Status SaveWeights(std::ostream& out) = 0;
-  virtual Status LoadWeights(std::istream& in) = 0;
+  /// Every trainable parameter matrix, in a fixed order. keep_best_weights
+  /// copies them as its snapshot and copies the snapshot back to roll an
+  /// iteration back. (Optimizer moments are not restored; greedy
+  /// evaluation depends only on weights, so rollback still pins the
+  /// reported metric.)
+  virtual std::vector<Matrix*> Params() = 0;
 };
 
 /// TeacherStudent over a PolicyGradientAgent: demonstrations become
@@ -83,8 +83,8 @@ class AgentTeacherStudent : public TeacherStudent {
   explicit AgentTeacherStudent(PolicyGradientAgent* agent);
 
   double Learn(const std::vector<TeacherDemo>& demos) override;
-  Status SaveWeights(std::ostream& out) override;
-  Status LoadWeights(std::istream& in) override;
+  /// The policy net's parameters, then the value net's.
+  std::vector<Matrix*> Params() override;
 
  private:
   PolicyGradientAgent* agent_;
@@ -100,8 +100,7 @@ class PredictorTeacherStudent : public TeacherStudent {
   PredictorTeacherStudent(RewardPredictor* predictor, int train_steps);
 
   double Learn(const std::vector<TeacherDemo>& demos) override;
-  Status SaveWeights(std::ostream& out) override;
-  Status LoadWeights(std::istream& in) override;
+  std::vector<Matrix*> Params() override;
 
  private:
   RewardPredictor* predictor_;

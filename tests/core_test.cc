@@ -63,12 +63,11 @@ class CoreTest : public ::testing::Test {
 // finished, annotated plan.
 class CountingReward : public RewardSignal {
  public:
-  double Score(const Query& query, const PlanNode& plan) override {
+  PlanScore Score(const Query& query, const PlanNode& plan) override {
     EXPECT_GT(plan.est_cost, 0.0) << query.name;
     calls_.fetch_add(1);
-    return -std::log10(std::max(1.0, plan.est_cost));
+    return {-std::log10(std::max(1.0, plan.est_cost)), plan.est_cost};
   }
-  double LastMetric() const override { return 0.0; }
   std::string name() const override { return "counting"; }
   int calls() const { return calls_.load(); }
 
@@ -96,10 +95,10 @@ TEST(RewardTest, ReciprocalCostMatchesPaperForm) {
   ASSERT_TRUE(q.ok());
   auto plan = e.expert().Optimize(*q);
   ASSERT_TRUE(plan.ok());
-  double r = reward.Score(*q, **plan);
-  EXPECT_NEAR(r, 1e5 / reward.LastMetric(), 1e-9);
-  EXPECT_EQ(reward.LastMetric(), (*plan)->est_cost);
-  EXPECT_GT(reward.LastMetric(), 0.0);
+  const PlanScore score = reward.Score(*q, **plan);
+  EXPECT_NEAR(score.reward, 1e5 / score.metric, 1e-9);
+  EXPECT_EQ(score.metric, (*plan)->est_cost);
+  EXPECT_GT(score.metric, 0.0);
 }
 
 TEST(RewardTest, ScalingFormulaExact) {
@@ -136,8 +135,8 @@ TEST(RewardTest, NegLogRewardsOrderPlansCorrectly) {
   auto bad = bad_opt.PhysicalizeJoinTree(*q, *tree);
   ASSERT_TRUE(bad.ok());
   NegLogLatencyReward reward(&e.latency());
-  double r_good = reward.Score(*q, **good);
-  double r_bad = reward.Score(*q, **bad);
+  double r_good = reward.Score(*q, **good).reward;
+  double r_bad = reward.Score(*q, **bad).reward;
   EXPECT_GE(r_good, r_bad);
 }
 

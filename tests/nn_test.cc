@@ -3,6 +3,7 @@
 // loss gradients, serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -40,15 +41,28 @@ Matrix RandomMatrix(int64_t r, int64_t c, Rng* rng) {
   return m;
 }
 
+// Same shape and the same bytes: exact equality, signed zeros included.
+::testing::AssertionResult BitsEqual(const Matrix& got, const Matrix& want) {
+  if (!got.SameShape(want)) {
+    return ::testing::AssertionFailure()
+           << got.rows() << "x" << got.cols() << " vs " << want.rows() << "x"
+           << want.cols();
+  }
+  for (int64_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(got.data() + i, want.data() + i, sizeof(double)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << got.data()[i] << " vs "
+             << want.data()[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(MatrixTest, MatmulMatchesNaive) {
   Rng rng(1);
   Matrix a = RandomMatrix(5, 7, &rng);
   Matrix b = RandomMatrix(7, 3, &rng);
-  Matrix got = Matmul(a, b);
-  Matrix want = NaiveMatmul(a, b);
-  for (int64_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got.data()[i], want.data()[i], 1e-12);
-  }
+  EXPECT_TRUE(BitsEqual(Matmul(a, b), NaiveMatmul(a, b)));
 }
 
 TEST(MatrixTest, MatmulTransposedVariants) {
@@ -60,21 +74,184 @@ TEST(MatrixTest, MatmulTransposedVariants) {
   for (int64_t i = 0; i < 6; ++i) {
     for (int64_t j = 0; j < 4; ++j) at.At(j, i) = a.At(i, j);
   }
-  Matrix got = MatmulTransA(a, b);
-  Matrix want = NaiveMatmul(at, b);
-  for (int64_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got.data()[i], want.data()[i], 1e-12);
-  }
+  EXPECT_TRUE(BitsEqual(MatmulTransA(a, b), NaiveMatmul(at, b)));
   // a * b^T
   Matrix c = RandomMatrix(3, 4, &rng);
   Matrix bt(4, 3);
   for (int64_t i = 0; i < 3; ++i) {
     for (int64_t j = 0; j < 4; ++j) bt.At(j, i) = c.At(i, j);
   }
-  Matrix got2 = MatmulTransB(a, c);  // (6x4) * (3x4)^T -> 6x3
-  Matrix want2 = NaiveMatmul(a, bt);
-  for (int64_t i = 0; i < got2.size(); ++i) {
-    EXPECT_NEAR(got2.data()[i], want2.data()[i], 1e-12);
+  // (6x4) * (3x4)^T -> 6x3
+  EXPECT_TRUE(BitsEqual(MatmulTransB(a, c), NaiveMatmul(a, bt)));
+  EXPECT_TRUE(BitsEqual(Transposed(c), bt));
+}
+
+// Scalar references for the three products, written like the loops the
+// register-tiled kernel replaced: every output element accumulates from
+// +0.0 over the shared dimension in ascending order as acc += a * b, with
+// the same expression, so the compiler contracts it into a fused
+// multiply-add exactly where it contracts the kernel's.
+Matrix ReferenceMatmul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    double* out_row = out.data() + i * out.cols();
+    for (int64_t p = 0; p < a.cols(); ++p) {
+      const double a_ip = a.data()[i * a.cols() + p];
+      const double* b_row = b.data() + p * b.cols();
+      for (int64_t j = 0; j < b.cols(); ++j) out_row[j] += a_ip * b_row[j];
+    }
+  }
+  return out;
+}
+
+Matrix ReferenceMatmulTransA(const Matrix& a, const Matrix& b) {
+  Matrix out(a.cols(), b.cols());
+  for (int64_t p = 0; p < a.rows(); ++p) {
+    const double* b_row = b.data() + p * b.cols();
+    for (int64_t i = 0; i < a.cols(); ++i) {
+      const double a_pi = a.data()[p * a.cols() + i];
+      double* out_row = out.data() + i * out.cols();
+      for (int64_t j = 0; j < b.cols(); ++j) out_row[j] += a_pi * b_row[j];
+    }
+  }
+  return out;
+}
+
+Matrix ReferenceMatmulTransB(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.rows());
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    const double* a_row = a.data() + i * a.cols();
+    for (int64_t j = 0; j < b.rows(); ++j) {
+      const double* b_row = b.data() + j * b.cols();
+      double acc = 0.0;
+      for (int64_t p = 0; p < a.cols(); ++p) acc += a_row[p] * b_row[p];
+      out.At(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// Operands of one exactness case: dense normals, or sparse 0/1 feature
+// rows (like a first layer's input) with an all-zero row and column.
+Matrix CaseMatrix(int64_t rows, int64_t cols, bool sparse, Rng* rng) {
+  Matrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    m.data()[i] = sparse ? (rng->Uniform(0.0, 1.0) < 0.1 ? 1.0 : 0.0)
+                         : rng->Normal();
+  }
+  if (sparse) {
+    for (int64_t c = 0; c < cols; ++c) m.At(0, c) = 0.0;
+    for (int64_t r = 0; r < rows; ++r) m.At(r, cols - 1) = 0.0;
+  }
+  return m;
+}
+
+// Every tile shape of the kernel: full row blocks and each row remainder,
+// full column tiles and every narrower column remainder on any target
+// (up to 32 columns per tile), across the shared dimensions the networks
+// use; each product is bit-identical to its scalar reference.
+TEST(MatrixTest, KernelProductsMatchScalarReferencesBitForBit) {
+  const std::vector<int64_t> row_counts = {1, 2, 3, 4, 5, 63, 64};
+  std::vector<int64_t> col_counts = {31, 32, 33, 100, 128, 289};
+  for (int64_t c = 1; c <= 9; ++c) col_counts.push_back(c);
+  const std::vector<int64_t> depths = {1, 254, 612};
+  Rng rng(20261020);
+  for (bool sparse : {false, true}) {
+    for (int64_t k : depths) {
+      for (int64_t m : row_counts) {
+        for (int64_t n : col_counts) {
+          SCOPED_TRACE(::testing::Message() << m << "x" << k << " * " << k
+                                            << "x" << n
+                                            << " sparse=" << sparse);
+          // Sparse operands are the left (feature) side; the weights and
+          // gradients they meet are dense.
+          const Matrix x = CaseMatrix(m, k, sparse, &rng);
+          const Matrix w = CaseMatrix(k, n, false, &rng);
+          Matrix out;
+          MatmulInto(x, w, &out);
+          ASSERT_TRUE(BitsEqual(out, ReferenceMatmul(x, w)));
+          // Weight gradient X^T G: X is (m x k) here with m the shared
+          // dimension, G (m x n).
+          const Matrix g = CaseMatrix(m, n, false, &rng);
+          ASSERT_TRUE(BitsEqual(MatmulTransA(x, g),
+                                ReferenceMatmulTransA(x, g)));
+          // Input gradient G W^T with W (n x k).
+          const Matrix gi = CaseMatrix(m, k, sparse, &rng);
+          const Matrix wt = CaseMatrix(n, k, false, &rng);
+          ASSERT_TRUE(BitsEqual(MatmulTransB(gi, wt),
+                                ReferenceMatmulTransB(gi, wt)));
+        }
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, KernelHandlesEmptyShapes) {
+  Rng rng(3);
+  Matrix out;
+  MatmulInto(Matrix(0, 4), RandomMatrix(4, 3, &rng), &out);
+  EXPECT_EQ(out.rows(), 0);
+  EXPECT_EQ(out.cols(), 3);
+  // An empty shared dimension sums nothing: every element is +0.0.
+  MatmulInto(Matrix(2, 0), Matrix(0, 5), &out);
+  EXPECT_TRUE(BitsEqual(out, Matrix(2, 5)));
+  EXPECT_TRUE(BitsEqual(MatmulTransA(Matrix(0, 3), Matrix(0, 2)),
+                        Matrix(3, 2)));
+  EXPECT_TRUE(BitsEqual(MatmulTransB(Matrix(2, 0), Matrix(4, 0)),
+                        Matrix(2, 4)));
+}
+
+// The elementwise passes run kLanes elements at a time and then one at a
+// time; every length below crosses both, and each pass must match its
+// scalar loop bit for bit.
+TEST(MatrixTest, ElementwisePassesMatchScalarLoops) {
+  Rng rng(4);
+  for (int64_t cols = 1; cols <= 19; ++cols) {
+    SCOPED_TRACE(cols);
+    const Matrix a = RandomMatrix(3, cols, &rng);
+    const Matrix b = RandomMatrix(3, cols, &rng);
+    Matrix want = a;
+    Matrix got = a;
+    for (int64_t i = 0; i < want.size(); ++i) want.data()[i] += b.data()[i];
+    got.Add(b);
+    EXPECT_TRUE(BitsEqual(got, want));
+    for (int64_t i = 0; i < want.size(); ++i) want.data()[i] *= -1.5;
+    got.Scale(-1.5);
+    EXPECT_TRUE(BitsEqual(got, want));
+
+    Matrix sums(1, cols);
+    Matrix shifted = a;
+    for (int64_t r = 0; r < a.rows(); ++r) {
+      for (int64_t c = 0; c < cols; ++c) {
+        sums.At(0, c) += a.At(r, c);
+        shifted.At(r, c) += b.At(0, c);
+      }
+    }
+    EXPECT_TRUE(BitsEqual(ColumnSum(a), sums));
+    Matrix row = b.Row(0);
+    Matrix got_shifted = a;
+    AddRowVectorInPlace(&got_shifted, row);
+    EXPECT_TRUE(BitsEqual(got_shifted, shifted));
+  }
+}
+
+// ReLU keeps std::max(0.0, x)'s answers for -0.0 and NaN (+0.0), and its
+// backward zeroes the gradient exactly where the input was <= 0.
+TEST(LayerTest, ReluMatchesScalarSemantics) {
+  const double nan = std::nan("");
+  Matrix x = Matrix::RowVector(
+      {-2.0, -0.0, 0.0, 3.0, nan, -1e-300, 1e-300, 5.0, -7.0, 2.0, 0.5});
+  Relu relu;
+  Matrix y = relu.Forward(x);
+  Matrix want = x;
+  for (int64_t i = 0; i < want.size(); ++i) {
+    want.data()[i] = std::max(0.0, want.data()[i]);
+  }
+  EXPECT_TRUE(BitsEqual(y, want));
+  Matrix grad = Matrix::Constant(1, x.cols(), 1.25);
+  Matrix back = relu.Backward(grad);
+  for (int64_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(back.data()[i], x.data()[i] <= 0.0 ? 0.0 : 1.25) << i;
   }
 }
 
@@ -386,6 +563,61 @@ TEST(OptimizerTest, GradientClippingBoundsNorm) {
   EXPECT_GT(before, 1.0);
   double total = g1.SquaredNorm() + g2.SquaredNorm();
   EXPECT_NEAR(std::sqrt(total), 1.0, 1e-9);
+}
+
+// Adam's vector update against the scalar update it replaced: after 100
+// steps over parameter matrices that exercise both the vector body and
+// the scalar tail, parameters and both moments are bit-identical.
+TEST(OptimizerTest, AdamMatchesScalarUpdateBitForBit) {
+  Rng rng(11);
+  std::vector<Matrix> params = {RandomMatrix(7, 13, &rng),
+                                RandomMatrix(1, 5, &rng),
+                                RandomMatrix(254, 128, &rng)};
+  std::vector<Matrix> grads;
+  for (const Matrix& p : params) grads.emplace_back(p.rows(), p.cols());
+  std::vector<Matrix> want = params;
+  std::vector<Matrix> m, v;
+  for (const Matrix& p : params) {
+    m.emplace_back(p.rows(), p.cols());
+    v.emplace_back(p.rows(), p.cols());
+  }
+  const double lr = 3e-3, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  Adam adam(lr, beta1, beta2, eps);
+  std::vector<Matrix*> param_ptrs, grad_ptrs;
+  for (size_t i = 0; i < params.size(); ++i) {
+    param_ptrs.push_back(&params[i]);
+    grad_ptrs.push_back(&grads[i]);
+  }
+  for (int t = 1; t <= 100; ++t) {
+    for (Matrix& g : grads) {
+      for (int64_t k = 0; k < g.size(); ++k) {
+        // Some exact zeros, some large steps.
+        const double u = rng.Uniform(0.0, 1.0);
+        g.data()[k] = u < 0.1 ? 0.0 : rng.Normal() * (u > 0.95 ? 1e3 : 1.0);
+      }
+    }
+    adam.Step(param_ptrs, grad_ptrs);
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    for (size_t i = 0; i < want.size(); ++i) {
+      for (int64_t k = 0; k < grads[i].size(); ++k) {
+        double gk = grads[i].data()[k];
+        m[i].data()[k] = beta1 * m[i].data()[k] + (1.0 - beta1) * gk;
+        v[i].data()[k] = beta2 * v[i].data()[k] + (1.0 - beta2) * gk * gk;
+        double mhat = m[i].data()[k] / bc1;
+        double vhat = v[i].data()[k] / bc2;
+        want[i].data()[k] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+    }
+  }
+  ASSERT_EQ(adam.first_moments().size(), params.size());
+  ASSERT_EQ(adam.second_moments().size(), params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(BitsEqual(params[i], want[i]));
+    EXPECT_TRUE(BitsEqual(adam.first_moments()[i], m[i]));
+    EXPECT_TRUE(BitsEqual(adam.second_moments()[i], v[i]));
+  }
 }
 
 TEST(MlpTest, SerializationRoundTrip) {

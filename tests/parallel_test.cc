@@ -100,8 +100,11 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
   std::vector<Episode> trainer_trajs;
   trainer.Train(workload, kEpisodes, nullptr,
                 [&trainer_trajs](int e, const FullPipelineEnv&,
-                                 const Episode& ep) {
+                                 const Episode& ep, const PlanScore& score) {
                   ASSERT_EQ(e, static_cast<int>(trainer_trajs.size()));
+                  if (!ep.steps.empty()) {
+                    EXPECT_EQ(score.reward, ep.steps.back().reward);
+                  }
                   trainer_trajs.push_back(ep);
                 });
 
@@ -127,7 +130,8 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
       episode.steps.push_back(std::move(t));
     }
     if (!episode.steps.empty()) {
-      episode.steps.back().reward = reward_.Score(query, *env_.FinalPlan());
+      episode.steps.back().reward =
+          reward_.Score(query, *env_.FinalPlan()).reward;
     }
     reference_trajs.push_back(episode);
     if (!episode.steps.empty()) {
@@ -164,7 +168,8 @@ TEST_F(ParallelRolloutTest, NWorkerRunIsDeterministicForFixedSeed) {
     // The harvest runs on the workers, each writing its own slot.
     trajs->resize(kEpisodes);
     trainer.Train(workload, kEpisodes, nullptr,
-                  [trajs](int e, const FullPipelineEnv&, const Episode& ep) {
+                  [trajs](int e, const FullPipelineEnv&, const Episode& ep,
+                          const PlanScore&) {
                     (*trajs)[static_cast<size_t>(e)] = ep;
                   });
     Mlp policy(trainer.agent().policy_net());

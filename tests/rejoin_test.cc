@@ -48,7 +48,7 @@ class RejoinTest : public ::testing::Test {
       std::vector<bool> mask = env_.ActionMask();
       env_.Step(agent.GreedyAction(state, mask));
     }
-    return reward_.Score(query, *env_.FinalPlan());
+    return reward_.Score(query, *env_.FinalPlan()).reward;
   }
 
   static constexpr int kN = 8;
@@ -160,7 +160,7 @@ TEST_F(RejoinTest, EpisodeBuildsCompleteTree) {
     ++steps;
   }
   EXPECT_EQ(steps, 5);  // n-1 joins.
-  EXPECT_GT(reward_.Score(q, *env_.FinalPlan()), 0.0);
+  EXPECT_GT(reward_.Score(q, *env_.FinalPlan()).reward, 0.0);
   std::unique_ptr<JoinTreeNode> tree = JoinTreeOf(*env_.FinalPlan());
   EXPECT_EQ(tree->rels, RelSetAll(6));
   EXPECT_EQ(tree->NumJoins(), 5);
@@ -190,7 +190,7 @@ TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
       }
       env_.Step(rng.Choice(valid));
     }
-    random_total += reward_.Score(q, *env_.FinalPlan());
+    random_total += reward_.Score(q, *env_.FinalPlan()).reward;
     ++random_episodes;
   }
   double random_mean = random_total / random_episodes;

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -30,7 +32,7 @@ namespace {
 class CountingReward : public ReciprocalCostReward {
  public:
   CountingReward() : ReciprocalCostReward(1e5) {}
-  double Score(const Query& query, const PlanNode& plan) override {
+  PlanScore Score(const Query& query, const PlanNode& plan) override {
     ++calls;
     return ReciprocalCostReward::Score(query, plan);
   }
@@ -55,6 +57,18 @@ struct RejoinSetup {
       const SearchConfig& teacher_search, ExperiencePool* pool) {
     AgentPolicy policy(&trainer.agent());
     AgentTeacherStudent student(&trainer.agent());
+    return RefineStudent(workload, teacher, teacher_search, pool, &policy,
+                         &student);
+  }
+
+  /// The loop with any policy and student over this env. Demos carry
+  /// ReJOIN's reward; `demo_target` as in TeacherLoopTask.
+  Result<std::vector<TeacherIterationStats>> RefineStudent(
+      const std::vector<Query>& workload, const TeacherConfig& teacher,
+      const SearchConfig& teacher_search, ExperiencePool* pool,
+      const FrozenPolicy* policy, TeacherStudent* student,
+      std::function<double(size_t, const Episode&, double)> demo_target =
+          nullptr) {
     std::unique_ptr<PlanSearch> searcher = MakePlanSearch(teacher_search);
     MlpWorkspace ws;
     TeacherLoopTask task;
@@ -65,19 +79,20 @@ struct RejoinSetup {
       return workload[i].StructuralFingerprint();
     };
     task.search = [&](SearchEnv* search_env) -> Result<TeacherSearchOutcome> {
-      SearchContext ctx{&policy, /*rng=*/nullptr, &ws};
+      SearchContext ctx{policy, /*rng=*/nullptr, &ws};
       const int calls = reward.calls;
       HFQ_ASSIGN_OR_RETURN(SearchResult found,
                            searcher->Search(search_env, ctx));
       scores_during_search += reward.calls - calls;
       return TeacherSearchOutcome{std::move(found.actions), found.cost};
     };
-    task.policy = &policy;
-    task.student = &student;
+    task.policy = policy;
+    task.student = student;
     task.pool = pool;
     task.demo_reward = [this, &workload](size_t i) {
-      return reward.Score(workload[i], *env.FinalPlan());
+      return reward.Score(workload[i], *env.FinalPlan()).reward;
     };
+    task.demo_target = std::move(demo_target);
     return RunTeacherLoop(task, teacher);
   }
 
@@ -242,6 +257,133 @@ TEST_F(TeacherLoopTest, PoolCheckpointRoundTripsAndResumes) {
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ((*resumed)[0].new_plans, 0);
   EXPECT_EQ(loaded->size(), pool.size());
+}
+
+std::vector<Matrix> CopyOf(const std::vector<Matrix*>& params) {
+  std::vector<Matrix> copy;
+  for (const Matrix* p : params) copy.push_back(*p);
+  return copy;
+}
+
+// Whether every matrix of `params` holds exactly the bytes of `want`.
+bool SameWeights(const std::vector<Matrix*>& params,
+                 const std::vector<Matrix>& want) {
+  if (params.size() != want.size()) return false;
+  for (size_t i = 0; i < params.size(); ++i) {
+    if (!params[i]->SameShape(want[i]) ||
+        std::memcmp(params[i]->data(), want[i].data(),
+                    static_cast<size_t>(want[i].size()) * sizeof(double)) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A student that keeps a copy of the weights its last Learn pass left.
+class RecordingStudent : public TeacherStudent {
+ public:
+  explicit RecordingStudent(TeacherStudent* inner) : inner_(inner) {}
+  double Learn(const std::vector<TeacherDemo>& demos) override {
+    const double loss = inner_->Learn(demos);
+    learned = CopyOf(inner_->Params());
+    return loss;
+  }
+  std::vector<Matrix*> Params() override { return inner_->Params(); }
+
+  std::vector<Matrix> learned;
+
+ private:
+  TeacherStudent* inner_;
+};
+
+// Runs one-iteration refinements until one rolls back, and checks that
+// the rollback restored every parameter matrix to the bytes it held
+// before the iteration, although learning had moved them; a kept
+// iteration keeps what learning left. Returns the call that rolled back,
+// or -1.
+int RefineUntilRollback(RejoinSetup* rejoin, const std::vector<Query>& queries,
+                        const FrozenPolicy* policy, TeacherStudent* inner,
+                        std::function<double(size_t, const Episode&, double)>
+                            demo_target) {
+  RecordingStudent student(inner);
+  TeacherConfig teacher;
+  teacher.iterations = 1;
+  SearchConfig beam;
+  beam.mode = SearchMode::kBeam;
+  beam.beam_width = 4;
+  ExperiencePool pool;
+  for (int call = 0; call < 8; ++call) {
+    const std::vector<Matrix> before = CopyOf(student.Params());
+    auto stats = rejoin->RefineStudent(queries, teacher, beam, &pool, policy,
+                                       &student, demo_target);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    if (!stats.ok()) return -1;
+    if ((*stats)[0].rolled_back) {
+      EXPECT_TRUE(SameWeights(student.Params(), before)) << "call " << call;
+      // Learning had moved the weights the rollback undid.
+      EXPECT_FALSE(SameWeights(student.Params(), student.learned));
+      return call;
+    }
+    EXPECT_TRUE(SameWeights(student.Params(), student.learned))
+        << "call " << call;
+  }
+  return -1;
+}
+
+TEST_F(TeacherLoopTest, RollbackRestoresAgentWeightsBitForBit) {
+  AgentPolicy policy(&rejoin_.trainer.agent());
+  AgentTeacherStudent student(&rejoin_.trainer.agent());
+  // Deterministic: this fixture's agent rolls back within 8 calls.
+  EXPECT_GE(RefineUntilRollback(&rejoin_, queries_, &policy, &student,
+                                nullptr),
+            0);
+}
+
+TEST_F(TeacherLoopTest, RollbackRestoresPredictorWeightsBitForBit) {
+  // A reward predictor over the same env, pre-trained on the log cost of
+  // random complete plans of the workload.
+  FullPipelineEnv& env = rejoin_.env;
+  RewardPredictorConfig config;
+  config.hidden_dims = {32, 32};
+  RewardPredictor predictor(static_cast<int>(env.state_dim()),
+                            static_cast<int>(env.action_dim()), config,
+                            /*seed=*/77);
+  Rng rng(78);
+  for (int round = 0; round < 4; ++round) {
+    for (const Query& q : queries_) {
+      env.SetQuery(&q);
+      env.Reset();
+      std::vector<OutcomeExample> episode;
+      while (!env.Done()) {
+        OutcomeExample example;
+        example.state = env.StateVector();
+        std::vector<int> valid;
+        const std::vector<bool> mask = env.ActionMask();
+        for (size_t a = 0; a < mask.size(); ++a) {
+          if (mask[a]) valid.push_back(static_cast<int>(a));
+        }
+        example.action = rng.Choice(valid);
+        env.Step(example.action);
+        episode.push_back(std::move(example));
+      }
+      const double target = std::log10(std::max(1.0, env.FinalCost()));
+      for (OutcomeExample& example : episode) {
+        example.target = target;
+        predictor.AddExample(std::move(example));
+      }
+    }
+  }
+  predictor.TrainSteps(20);
+  PredictorPolicy policy(&predictor);
+  PredictorTeacherStudent student(&predictor, /*train_steps=*/8);
+  // Deterministic: this predictor rolls back within 8 calls.
+  EXPECT_GE(RefineUntilRollback(
+                &rejoin_, queries_, &policy, &student,
+                [](size_t, const Episode&, double final_cost) {
+                  return std::log10(std::max(1.0, final_cost));
+                }),
+            0);
 }
 
 // ---- Facade wiring -------------------------------------------------------
